@@ -160,17 +160,30 @@ mod tests {
     #[test]
     fn assisted_verification_is_cheaper() {
         // Table 1's mechanism: polling the (empty) error channel is far
-        // cheaper than recomputing checksums. Median of five to ride out
-        // scheduler noise under parallel test execution.
+        // cheaper than recomputing checksums. The comparison is on the
+        // verification time alone — compute is the same work in both
+        // modes and its jitter under a parallel test run is larger than
+        // the whole saving — as the median of five paired samples.
         for k in FailContinueKernel::ALL {
-            let mut gains: Vec<f64> = (0..5)
-                .map(|_| {
-                    let ch = abft_coop_runtime::SysfsChannel::new();
-                    simplified_verification_improvement(k, &small(), ch)
-                })
-                .collect();
-            gains.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            assert!(gains[2] > 0.0, "{}: expected speedup, got {:?}", k.label(), gains);
+            let mut full = Vec::new();
+            let mut assisted = Vec::new();
+            for _ in 0..5 {
+                let f = measure(k, &small(), VerifyMode::Full).stats;
+                let ch = abft_coop_runtime::SysfsChannel::new();
+                let a = measure(k, &small(), VerifyMode::HardwareAssisted(ch)).stats;
+                assert_eq!(f.verifications, a.verifications, "{}: same schedule", k.label());
+                full.push(f.verify_time);
+                assisted.push(a.verify_time);
+            }
+            full.sort();
+            assisted.sort();
+            assert!(
+                assisted[2] * 10 <= full[2],
+                "{}: assisted verify {:?} vs full {:?}",
+                k.label(),
+                assisted,
+                full
+            );
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Usage: `store_gate <store-dir> <out-file> [--expect <cold-file>]`
 
-use abft_campaign_server::protocol::format_cell;
+use abft_coop_core::report::format_cell;
 use abft_coop_core::{CampaignClient, CampaignSpec};
 use abft_memsim::simpoint::SimPointConfig;
 use abft_memsim::workloads::KernelKind;

@@ -18,13 +18,13 @@
 //! | `cases_error_handling` | Section 4 — Case 1-4 end-to-end drills |
 //!
 //! All of the memory-simulation binaries describe their grids as
-//! [`CampaignSpec`]s and run them through the shared
-//! [`CampaignClient`] facade (see [`run_grid`]), so traces are
-//! generated once per process (shared through the [`TraceCache`]),
-//! the (kernel x strategy x config) cells run on a rayon pool — set
-//! `RAYON_NUM_THREADS` to bound the workers — and setting
-//! `ABFT_ARTIFACT_STORE` to a directory makes every binary persist and
-//! reuse generated traces/miss-streams across processes.
+//! [`CampaignSpec`]s and run them through [`CampaignClient`] (see
+//! [`run_grid`]), so traces are generated once per process (shared
+//! through the [`TraceCache`]), the (kernel x strategy x config) cells
+//! run on a rayon pool — set `RAYON_NUM_THREADS` to bound the workers —
+//! setting `ABFT_ARTIFACT_STORE` to a directory makes every binary
+//! persist and reuse generated traces/miss-streams across processes, and
+//! setting `ABFT_SIMPOINT` switches every grid to phase-sampled replay.
 
 use abft_coop_core::{BasicTest, CampaignClient, CampaignRun, CampaignSpec, Progress};
 use abft_memsim::workloads::{KernelKind, KernelParams};
@@ -56,11 +56,11 @@ pub fn report_progress(p: &Progress) {
     );
 }
 
-/// Run a grid through the shared [`CampaignClient`] facade with the
-/// standard progress line. This is the one entry point the harness
-/// binaries use: the client resolves the artifact store (spec-level
-/// `store(..)` or the `ABFT_ARTIFACT_STORE` env var) and executes on
-/// the process-wide [`TraceCache`].
+/// Run a grid through [`CampaignClient`] with the standard progress
+/// line. This is the one entry point the harness binaries use: the
+/// client resolves the artifact store (spec-level `store(..)` or the
+/// `ABFT_ARTIFACT_STORE` env var) and phase sampling (`sampling(..)` or
+/// `ABFT_SIMPOINT`), and executes on the process-wide [`TraceCache`].
 pub fn run_grid(spec: &CampaignSpec) -> CampaignRun {
     CampaignClient::local().on_progress(report_progress).run(spec)
 }

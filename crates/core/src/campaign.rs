@@ -1,31 +1,33 @@
-//! The parallel campaign engine: one API for every harness binary.
+//! The campaign cell primitives and result types behind every harness
+//! binary.
 //!
 //! The paper's evaluation (Sections 5.1-5.3) is a grid of
-//! (kernel x ECC strategy x system config) simulations. [`Campaign`] is
-//! the builder for that grid: name the workloads, strategies and config
-//! variants, then [`Campaign::run`] expands them into independent jobs
-//! and executes the jobs on a rayon worker pool. Kernel traces — the
-//! dominant fixed cost — are generated once per process through the
-//! shared [`TraceCache`] in the packed 8-byte encoding, and the cache
-//! hierarchy is simulated once per (workload x cache geometry x thread
-//! count) by the second memo level ([`TraceCache::get_filtered`]): jobs
-//! replay only the `Arc<MissStream>` L2 miss tail through the memory
-//! controller and DRAM, which is bit-identical to the full path (cache
-//! outcomes are ECC-independent) at O(LLC misses) instead of
-//! O(accesses) per grid cell.
+//! (kernel x ECC strategy x system config) simulations. A grid is
+//! described by a [`crate::CampaignSpec`] and executed by
+//! [`crate::CampaignClient::run`], which expands it into independent
+//! jobs on a rayon worker pool. Kernel traces — the dominant fixed
+//! cost — are generated once per process through the shared
+//! `TraceCache` in the packed 8-byte encoding, and the cache hierarchy
+//! is simulated once per (workload x cache geometry x thread count) by
+//! the second memo level (`TraceCache::get_filtered`): jobs replay only
+//! the `Arc<MissStream>` L2 miss tail through the memory controller and
+//! DRAM, which is bit-identical to the full path (cache outcomes are
+//! ECC-independent) at O(LLC misses) instead of O(accesses) per grid
+//! cell.
 //!
-//! Every job runs on a fresh [`Machine`], so results are bit-identical
-//! regardless of worker count or completion order (the simulator itself
-//! is deterministic; see `tests/campaign_determinism.rs`).
+//! This module holds the one-cell job primitives ([`run_strategy_source`]
+//! and its miss-stream/sampled siblings) and the [`CampaignRun`] a grid
+//! produces, with its [`BasicTest`] views and JSON/CSV exports. Every job
+//! runs on a fresh [`Machine`], so results are bit-identical regardless
+//! of worker count or completion order (the simulator itself is
+//! deterministic; see `tests/campaign_determinism.rs`).
 //!
 //! ```no_run
-//! use abft_coop_core::{Campaign, Strategy};
+//! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
 //! use abft_memsim::KernelKind;
 //!
-//! let run = Campaign::new()
-//!     .kernels(KernelKind::ALL)          // 4 kernels x
-//!     .strategies(Strategy::ALL)         // 6 strategies x 1 default config
-//!     .run();                            // = 24 jobs, 4 trace generations
+//! let spec = CampaignSpec::basic(KernelKind::ALL); // 4 kernels x 6 strategies
+//! let run = CampaignClient::local().run(&spec);    // = 24 jobs, 4 trace generations
 //! let dgemm = run.basic_test(KernelKind::Dgemm);
 //! println!("W_CK memory energy x{:.2}", dgemm.mem_energy_norm(Strategy::WholeChipkill));
 //! run.write_json("reproduction-output/basic_tests.json").unwrap();
@@ -34,18 +36,15 @@
 use crate::experiment::{BasicTest, StrategyResult};
 use crate::strategy::Strategy;
 use abft_memsim::miss_stream::MissStream;
-use abft_memsim::simpoint::{SimPointConfig, SimPointSelection};
+use abft_memsim::simpoint::SimPointSelection;
 use abft_memsim::system::{Machine, SimRequest, SimStats};
 use abft_memsim::trace::Trace;
-use abft_memsim::trace_cache::{FilterKey, TraceCache};
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
 use abft_memsim::{AccessSource, SystemConfig};
-use rayon::prelude::*;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Run one (stream, config, strategy) cell on a fresh machine — the job
 /// primitive every campaign cell shares. The source may be anything
@@ -112,13 +111,10 @@ pub struct CampaignResult {
     pub config_tag: String,
     /// Simulation statistics.
     pub stats: SimStats,
-    /// Wall-clock this job took (simulation only; trace generation is
-    /// accounted to whichever job built the cache entry).
-    pub wall: Duration,
 }
 
-/// Progress snapshot handed to the [`Campaign::on_progress`] hook after
-/// every completed job.
+/// Progress snapshot handed to the [`crate::CampaignClient::on_progress`]
+/// hook after every completed job.
 #[derive(Debug, Clone)]
 pub struct Progress {
     /// Jobs completed so far (including this one).
@@ -175,273 +171,11 @@ pub struct CampaignMetrics {
     /// used (see [`SimPointSelection::est_error`]); 0 when sampling is
     /// off.
     pub est_error_budget: f64,
-    /// End-to-end wall-clock of [`Campaign::run`].
-    pub wall: Duration,
 }
 
-/// Shared per-job progress callback (see [`Campaign::on_progress`]).
+/// Shared per-job progress callback (see
+/// [`crate::CampaignClient::on_progress`]).
 pub type ProgressHook = Arc<dyn Fn(&Progress) + Send + Sync>;
-
-/// Builder for a (workload x config x strategy) simulation grid.
-#[derive(Default)]
-pub struct Campaign {
-    workloads: Vec<KernelParams>,
-    strategies: Vec<Strategy>,
-    configs: Vec<(String, SystemConfig)>,
-    threads: Option<usize>,
-    progress: Option<ProgressHook>,
-    sampling: Option<SimPointConfig>,
-}
-
-impl Campaign {
-    /// An empty campaign. Without further calls, [`run`](Campaign::run)
-    /// covers all four kernels at default scale, all six strategies, and
-    /// the default system config.
-    pub fn new() -> Self {
-        Campaign::default()
-    }
-
-    /// Add one kernel at its default (Table-3-scaled) workload.
-    pub fn kernel(self, kind: KernelKind) -> Self {
-        self.workload(KernelParams::default_for(kind))
-    }
-
-    /// Add several kernels at their default workloads.
-    pub fn kernels(mut self, kinds: impl IntoIterator<Item = KernelKind>) -> Self {
-        for k in kinds {
-            self.workloads.push(KernelParams::default_for(k));
-        }
-        self
-    }
-
-    /// Add one fully-specified workload (kernel + scale).
-    pub fn workload(mut self, params: impl Into<KernelParams>) -> Self {
-        self.workloads.push(params.into());
-        self
-    }
-
-    /// Add several fully-specified workloads.
-    pub fn workloads(mut self, params: impl IntoIterator<Item = KernelParams>) -> Self {
-        self.workloads.extend(params);
-        self
-    }
-
-    /// Add one strategy (default when none are added: all six).
-    pub fn strategy(mut self, s: Strategy) -> Self {
-        self.strategies.push(s);
-        self
-    }
-
-    /// Add several strategies.
-    pub fn strategies(mut self, ss: impl IntoIterator<Item = Strategy>) -> Self {
-        self.strategies.extend(ss);
-        self
-    }
-
-    /// Add a tagged system-config variant (default when none are added:
-    /// `("default", SystemConfig::default())`).
-    pub fn config(mut self, tag: impl Into<String>, cfg: SystemConfig) -> Self {
-        self.configs.push((tag.into(), cfg));
-        self
-    }
-
-    /// Pin the worker count (default: the rayon global default, which
-    /// honours `RAYON_NUM_THREADS`). `threads(1)` is the serial path.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Enable SimPoint-style phase sampling for every cell: each job
-    /// replays only the weighted representative slices of its miss
-    /// stream instead of the whole DRAM tail. Results become estimates
-    /// (error budget surfaced in [`CampaignMetrics::est_error_budget`]);
-    /// leave sampling off when bit-exact statistics are required.
-    pub fn sampling(mut self, cfg: SimPointConfig) -> Self {
-        self.sampling = Some(cfg);
-        self
-    }
-
-    /// [`Campaign::sampling`] with an optional config (what the client
-    /// facade threads through).
-    pub fn sampling_opt(mut self, cfg: Option<SimPointConfig>) -> Self {
-        self.sampling = cfg;
-        self
-    }
-
-    /// Install a hook called after every completed job (liveness
-    /// reporting for long campaigns). May be called from worker threads.
-    pub fn on_progress(mut self, hook: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(hook));
-        self
-    }
-
-    /// [`Campaign::on_progress`] with an already-shared hook (what
-    /// [`crate::client::CampaignClient`] threads through).
-    pub fn on_progress_hook(mut self, hook: Option<ProgressHook>) -> Self {
-        self.progress = hook;
-        self
-    }
-
-    /// Execute the grid against the process-wide [`TraceCache`].
-    pub fn run(self) -> CampaignRun {
-        self.run_with_cache(TraceCache::global())
-    }
-
-    /// Execute the grid against an explicit cache (tests use private
-    /// caches to observe hit/build counts from a clean slate).
-    pub fn run_with_cache(self, cache: &TraceCache) -> CampaignRun {
-        let workloads = if self.workloads.is_empty() {
-            KernelKind::ALL.iter().map(|&k| KernelParams::default_for(k)).collect()
-        } else {
-            self.workloads
-        };
-        let strategies =
-            if self.strategies.is_empty() { Strategy::ALL.to_vec() } else { self.strategies };
-        let configs = if self.configs.is_empty() {
-            vec![("default".to_string(), SystemConfig::default())]
-        } else {
-            self.configs
-        };
-
-        // Deterministic nested order: workload, then config, then strategy.
-        let mut jobs: Vec<(KernelParams, usize, Strategy)> = Vec::new();
-        for &w in &workloads {
-            for c in 0..configs.len() {
-                for &s in &strategies {
-                    jobs.push((w, c, s));
-                }
-            }
-        }
-
-        let total = jobs.len();
-        let completed = AtomicUsize::new(0);
-        let hits0 = cache.hits();
-        let builds0 = cache.builds();
-        let filter_hits0 = cache.miss_hits();
-        let filter_builds0 = cache.miss_builds();
-        let simpoint_hits0 = cache.simpoint_hits();
-        let simpoint_builds0 = cache.simpoint_builds();
-        let store0 = cache.store_metrics();
-        let sampling = self.sampling;
-        let progress = self.progress.clone();
-        let start = Instant::now(); // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
-
-        // Pre-build every distinct miss stream in parallel (each pulls its
-        // packed trace through the first memo level on demand). Without
-        // this the workload-major job order makes all workers start on the
-        // same kernel and serialize behind one memo slot's build; warming
-        // first costs max(build times) instead of their sum. Config
-        // variants sharing a cache geometry and thread count dedup to one
-        // filter pass here.
-        let mut distinct: Vec<(KernelParams, usize, FilterKey)> = Vec::new();
-        for &w in &workloads {
-            for (c, (_, cfg)) in configs.iter().enumerate() {
-                let key = FilterKey::new(w, cfg);
-                if !distinct.iter().any(|(_, _, k)| *k == key) {
-                    distinct.push((w, c, key));
-                }
-            }
-        }
-
-        // For the sampling accounting pass below: the (workload, config)
-        // pair of every job, before `jobs` moves into the executor.
-        let job_cells: Vec<(KernelParams, usize)> = jobs.iter().map(|&(w, c, _)| (w, c)).collect();
-
-        let execute = || -> Vec<CampaignResult> {
-            distinct.into_par_iter().for_each(|(w, c, _)| {
-                cache.get_filtered(w, &configs[c].1);
-                if let Some(sp) = &sampling {
-                    cache.get_simpoints(w, &configs[c].1, sp);
-                }
-            });
-            jobs.into_par_iter()
-                .map(|(workload, cfg_idx, strategy)| {
-                    let (tag, cfg) = &configs[cfg_idx];
-                    // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
-                    let job_start = Instant::now();
-                    let ms = cache.get_filtered(workload, cfg);
-                    let stats = match &sampling {
-                        Some(sp) => {
-                            let sel = cache.get_simpoints(workload, cfg, sp);
-                            run_strategy_sampled(&ms, &sel, cfg, strategy)
-                        }
-                        None => run_strategy_miss_stream(&ms, cfg, strategy),
-                    };
-                    let wall = job_start.elapsed();
-                    let result = CampaignResult {
-                        kernel: workload.kind(),
-                        workload,
-                        strategy,
-                        config_tag: tag.clone(),
-                        stats,
-                        wall,
-                    };
-                    if let Some(hook) = &progress {
-                        let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
-                        hook(&Progress {
-                            completed: done,
-                            total,
-                            kernel: result.kernel,
-                            strategy,
-                            config_tag: result.config_tag.clone(),
-                            job_wall: wall,
-                            cache_hits: cache.hits(),
-                            cache_builds: cache.builds(),
-                        });
-                    }
-                    result
-                })
-                .collect()
-        };
-
-        let results = match self.threads {
-            Some(n) => rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
-                .install(execute),
-            None => execute(),
-        };
-
-        let store = cache.store_metrics().since(&store0);
-        // Snapshot the simpoint counters before the accounting pass below,
-        // whose memo lookups would otherwise inflate the hit delta.
-        let simpoint_hits = cache.simpoint_hits() - simpoint_hits0;
-        let simpoint_builds = cache.simpoint_builds() - simpoint_builds0;
-        let mut sampled_cells = 0usize;
-        let mut slices_replayed = 0u64;
-        let mut est_error_budget = 0.0f64;
-        if let Some(sp) = &sampling {
-            for (w, c) in job_cells {
-                let sel = cache.get_simpoints(w, &configs[c].1, sp);
-                sampled_cells += 1;
-                slices_replayed += sel.phases().len() as u64;
-                est_error_budget = est_error_budget.max(sel.est_error());
-            }
-        }
-        CampaignRun {
-            results,
-            metrics: CampaignMetrics {
-                jobs: total,
-                cache_hits: cache.hits() - hits0,
-                cache_builds: cache.builds() - builds0,
-                filter_hits: cache.miss_hits() - filter_hits0,
-                filter_builds: cache.miss_builds() - filter_builds0,
-                store_hits: store.hits,
-                store_misses: store.misses,
-                store_writes: store.writes,
-                store_evictions: store.evictions,
-                simpoint_hits,
-                simpoint_builds,
-                sampled_cells,
-                slices_replayed,
-                est_error_budget,
-                wall: start.elapsed(),
-            },
-        }
-    }
-}
 
 /// The results of a finished campaign.
 #[derive(Debug, Clone)]
@@ -512,7 +246,7 @@ impl CampaignRun {
              \"store_evictions\": {}, \
              \"simpoint_hits\": {}, \"simpoint_builds\": {}, \
              \"sampled_cells\": {}, \"slices_replayed\": {}, \
-             \"est_error_budget\": {:.6}, \"wall_seconds\": {:.6}",
+             \"est_error_budget\": {:.6}",
             self.metrics.jobs,
             self.metrics.cache_hits,
             self.metrics.cache_builds,
@@ -527,14 +261,13 @@ impl CampaignRun {
             self.metrics.sampled_cells,
             self.metrics.slices_replayed,
             self.metrics.est_error_budget,
-            self.metrics.wall.as_secs_f64()
         ));
         out.push_str("},\n  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let st = &r.stats;
             out.push_str(&format!(
                 "    {{\"kernel\": {}, \"workload\": {}, \"strategy\": {}, \"config\": {}, \
-                 \"wall_seconds\": {:.6}, \"stats\": {{\
+                 \"stats\": {{\
                  \"instructions\": {}, \"cycles\": {}, \"seconds\": {:.9}, \"ipc\": {:.6}, \
                  \"mem_dynamic_j\": {:.9}, \"mem_standby_j\": {:.9}, \"mem_total_j\": {:.9}, \
                  \"proc_j\": {:.9}, \"system_j\": {:.9}, \
@@ -546,7 +279,6 @@ impl CampaignRun {
                 json_string(&format!("{:?}", r.workload)),
                 json_string(r.strategy.label()),
                 json_string(&r.config_tag),
-                r.wall.as_secs_f64(),
                 st.instructions,
                 st.cycles,
                 st.seconds,
@@ -576,20 +308,19 @@ impl CampaignRun {
     /// [`crate::report::ReportSink`] plumbing by the harness binaries.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "kernel,workload,strategy,config,wall_seconds,instructions,cycles,seconds,ipc,\
+            "kernel,workload,strategy,config,instructions,cycles,seconds,ipc,\
              mem_dynamic_j,mem_standby_j,mem_total_j,proc_j,system_j,\
              l1_hit_rate,l2_hit_rate,row_hit_rate,dram_reads,dram_writes\n",
         );
         for r in &self.results {
             let st = &r.stats;
             out.push_str(&format!(
-                "{},{},{},{},{:.6},{},{},{:.9},{:.6},{:.9},{:.9},{:.9},{:.9},{:.9},\
+                "{},{},{},{},{},{},{:.9},{:.6},{:.9},{:.9},{:.9},{:.9},{:.9},\
                  {:.6},{:.6},{:.6},{},{}\n",
                 csv_field(r.kernel.label()),
                 csv_field(&format!("{:?}", r.workload)),
                 csv_field(r.strategy.label()),
                 csv_field(&r.config_tag),
-                r.wall.as_secs_f64(),
                 st.instructions,
                 st.cycles,
                 st.seconds,
@@ -654,22 +385,31 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{CampaignClient, CampaignSpec};
+    use abft_memsim::simpoint::SimPointConfig;
     use abft_memsim::workloads::DgemmParams;
+    use abft_memsim::TraceCache;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny() -> KernelParams {
         KernelParams::Dgemm(DgemmParams { n: 128, nb: 64, abft: true, verify_interval: 2 })
     }
 
+    fn client(cache: &Arc<TraceCache>) -> CampaignClient {
+        CampaignClient::with_cache(Arc::clone(cache))
+    }
+
     #[test]
     fn grid_order_is_workload_config_strategy() {
-        let cache = TraceCache::new();
-        let run = Campaign::new()
+        let cache = Arc::new(TraceCache::new());
+        let spec = CampaignSpec::builder()
             .workload(tiny())
             .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
             .config("a", SystemConfig::default())
             .config("b", SystemConfig::default())
             .threads(2)
-            .run_with_cache(&cache);
+            .build();
+        let run = client(&cache).run(&spec);
         let seen: Vec<(String, Strategy)> =
             run.results.iter().map(|r| (r.config_tag.clone(), r.strategy)).collect();
         assert_eq!(
@@ -693,27 +433,29 @@ mod tests {
 
     #[test]
     fn progress_hook_sees_every_job() {
-        let cache = TraceCache::new();
+        let cache = Arc::new(TraceCache::new());
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = Arc::clone(&count);
-        let run = Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(tiny())
             .strategies([Strategy::NoEcc, Strategy::WholeSecded, Strategy::WholeChipkill])
             .threads(3)
+            .build();
+        let run = client(&cache)
             .on_progress(move |p| {
                 assert!(p.completed <= p.total);
                 assert_eq!(p.total, 3);
                 count2.fetch_add(1, Ordering::SeqCst);
             })
-            .run_with_cache(&cache);
+            .run(&spec);
         assert_eq!(count.load(Ordering::SeqCst), 3);
         assert_eq!(run.results.len(), 3);
     }
 
     #[test]
     fn basic_test_view_matches_direct_run() {
-        let cache = TraceCache::new();
-        let run = Campaign::new().workload(tiny()).threads(2).run_with_cache(&cache);
+        let cache = Arc::new(TraceCache::new());
+        let run = client(&cache).run(&CampaignSpec::builder().workload(tiny()).threads(2).build());
         let bt = run.basic_test(KernelKind::Dgemm);
         assert_eq!(bt.rows.len(), 6);
         let trace = tiny().build();
@@ -723,14 +465,15 @@ mod tests {
 
     #[test]
     fn sampled_campaign_reports_sampling_metrics() {
-        let cache = TraceCache::new();
+        let cache = Arc::new(TraceCache::new());
         let sp = SimPointConfig { interval: 2048, max_phases: 4, ..Default::default() };
-        let run = Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(tiny())
             .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
             .sampling(sp)
             .threads(2)
-            .run_with_cache(&cache);
+            .build();
+        let run = client(&cache).run(&spec);
         assert_eq!(run.metrics.jobs, 2);
         assert_eq!(run.metrics.sampled_cells, 2);
         assert_eq!(run.metrics.simpoint_builds, 1, "one selection per distinct filter key");
@@ -741,8 +484,8 @@ mod tests {
         assert!(json.contains("\"simpoint_builds\": 1"));
         assert!(json.contains("\"est_error_budget\""));
         // An unsampled campaign reports sampling as off.
-        let exact =
-            Campaign::new().workload(tiny()).strategy(Strategy::NoEcc).run_with_cache(&cache);
+        let exact = client(&cache)
+            .run(&CampaignSpec::builder().workload(tiny()).strategy(Strategy::NoEcc).build());
         assert_eq!(exact.metrics.sampled_cells, 0);
         assert_eq!(exact.metrics.slices_replayed, 0);
         assert_eq!(exact.metrics.est_error_budget, 0.0);
@@ -750,8 +493,9 @@ mod tests {
 
     #[test]
     fn json_is_structurally_sound() {
-        let cache = TraceCache::new();
-        let run = Campaign::new().workload(tiny()).strategy(Strategy::NoEcc).run_with_cache(&cache);
+        let cache = Arc::new(TraceCache::new());
+        let run = client(&cache)
+            .run(&CampaignSpec::builder().workload(tiny()).strategy(Strategy::NoEcc).build());
         let json = run.to_json();
         assert!(json.contains("\"kernel\": \"FT-DGEMM\""));
         assert!(json.contains("\"strategy\": \"No ECC\""));
@@ -760,5 +504,20 @@ mod tests {
         assert!(json.contains("\"filter_hits\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    }
+
+    #[test]
+    fn exports_are_byte_identical_across_runs() {
+        // Fresh caches make the counters match too; the reports carry
+        // nothing that varies from run to run (no wall-clock fields).
+        let spec = CampaignSpec::builder()
+            .workload(tiny())
+            .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
+            .threads(2)
+            .build();
+        let a = client(&Arc::new(TraceCache::new())).run(&spec);
+        let b = client(&Arc::new(TraceCache::new())).run(&spec);
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_csv(), b.to_csv());
     }
 }

@@ -1,19 +1,14 @@
-//! The unified campaign client: every harness binary's one way to run a
+//! The campaign client: every harness binary's one way to run a
 //! simulation grid.
 //!
 //! [`CampaignSpec`] is the declarative description of a grid — workloads,
 //! strategies, tagged config variants, worker count, and optionally an
 //! on-disk artifact store — built with [`CampaignSpec::builder`].
-//! [`CampaignClient`] executes specs through a [`GridRunner`]:
-//!
-//! * [`CampaignClient::local`] — the in-process engine: the
-//!   [`Campaign`] builder over the process-wide `TraceCache`, with an
-//!   [`ArtifactStore`] attached when the spec names a store directory
-//!   (or the `ABFT_ARTIFACT_STORE` environment variable does).
-//! * `abft-campaign-server`'s in-process handle also implements
-//!   [`GridRunner`], so a binary flips from solo execution to submitting
-//!   against a shared warm job server by swapping the runner, not the
-//!   code around it.
+//! [`CampaignClient`] executes specs in process, over the process-wide
+//! `TraceCache` ([`CampaignClient::local`]) or a private one
+//! ([`CampaignClient::with_cache`]), with an [`ArtifactStore`] attached
+//! when the spec names a store directory (or the `ABFT_ARTIFACT_STORE`
+//! environment variable does).
 //!
 //! ```no_run
 //! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
@@ -28,13 +23,20 @@
 //! println!("{} cells, {} artifact hits", run.results.len(), run.metrics.store_hits);
 //! ```
 
-use crate::campaign::{Campaign, CampaignRun, ProgressHook};
+use crate::campaign::{
+    run_strategy_miss_stream, run_strategy_sampled, CampaignMetrics, CampaignResult, CampaignRun,
+    Progress, ProgressHook,
+};
 use crate::strategy::Strategy;
 use abft_memsim::simpoint::SimPointConfig;
+use abft_memsim::trace_cache::FilterKey;
 use abft_memsim::workloads::{KernelKind, KernelParams};
 use abft_memsim::{ArtifactStore, SystemConfig, TraceCache};
+use rayon::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Environment variable naming a store directory every local grid run
 /// should persist artifacts to (the spec's explicit
@@ -150,19 +152,6 @@ impl CampaignSpec {
     pub fn cells(&self) -> usize {
         self.workloads().len() * self.strategies().len() * self.configs().len()
     }
-
-    /// Lower the spec onto the imperative [`Campaign`] builder (resolved,
-    /// so the engine sees explicit lists).
-    pub fn to_campaign(&self) -> Campaign {
-        let mut c = Campaign::new().workloads(self.workloads()).strategies(self.strategies());
-        for (tag, cfg) in self.configs() {
-            c = c.config(tag, cfg);
-        }
-        if let Some(n) = self.threads {
-            c = c.threads(n);
-        }
-        c.sampling_opt(self.sampling)
-    }
 }
 
 /// Fluent constructor for [`CampaignSpec`].
@@ -248,46 +237,41 @@ impl CampaignSpecBuilder {
     }
 }
 
-/// Something that can execute a [`CampaignSpec`]: the in-process engine
-/// ([`LocalRunner`]), or a handle to a shared campaign-server instance.
-pub trait GridRunner: Send + Sync {
-    /// Execute the grid, delivering per-job progress through `hook`.
-    /// Results arrive in the deterministic grid order (workload-major,
-    /// then config, then strategy) regardless of execution order.
-    fn run_grid(&self, spec: &CampaignSpec, hook: Option<ProgressHook>) -> CampaignRun;
-}
-
-/// The in-process [`GridRunner`]: the [`Campaign`] engine over the
-/// process-wide trace cache (or a private one), with the artifact store
-/// attached when the spec or [`STORE_ENV`] names a directory.
-#[derive(Default)]
-pub struct LocalRunner {
+/// The runner every harness binary runs grids through: the in-process
+/// engine over a trace cache, plus an optional progress hook.
+#[derive(Clone, Default)]
+pub struct CampaignClient {
     cache: Option<Arc<TraceCache>>,
+    progress: Option<ProgressHook>,
 }
 
-impl LocalRunner {
-    /// Run against the process-wide [`TraceCache::global`].
-    pub fn new() -> Self {
-        LocalRunner::default()
+impl CampaignClient {
+    /// A client over the process-wide [`TraceCache::global`].
+    pub fn local() -> CampaignClient {
+        CampaignClient::default()
     }
 
-    /// Run against a private cache (isolated counters; what the gate
+    /// A client over a private cache (isolated counters; what the gate
     /// binaries and tests use to observe cold/warm behaviour cleanly).
-    pub fn with_cache(cache: Arc<TraceCache>) -> Self {
-        LocalRunner { cache: Some(cache) }
+    pub fn with_cache(cache: Arc<TraceCache>) -> CampaignClient {
+        CampaignClient { cache: Some(cache), progress: None }
     }
 
-    fn cache(&self) -> &TraceCache {
-        match &self.cache {
+    /// Install a per-job progress hook for every grid this client runs.
+    /// May be called from worker threads.
+    pub fn on_progress(mut self, hook: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
+        self.progress = Some(Arc::new(hook));
+        self
+    }
+
+    /// Execute a spec and collect the full run. Results arrive in the
+    /// deterministic grid order (workload-major, then config, then
+    /// strategy) regardless of execution order.
+    pub fn run(&self, spec: &CampaignSpec) -> CampaignRun {
+        let cache = match &self.cache {
             Some(cache) => cache,
             None => TraceCache::global(),
-        }
-    }
-}
-
-impl GridRunner for LocalRunner {
-    fn run_grid(&self, spec: &CampaignSpec, hook: Option<ProgressHook>) -> CampaignRun {
-        let cache = self.cache();
+        };
         let dir = spec
             .store_dir()
             .map(PathBuf::from)
@@ -298,65 +282,160 @@ impl GridRunner for LocalRunner {
                 // Degrade to memory-only: a missing or unwritable store
                 // directory must never fail the simulation itself.
                 Err(e) => {
+                    // repolint:allow(PERF004) one-shot config warning before the grid runs
                     eprintln!("[campaign] artifact store {} unavailable: {e}", dir.display())
                 }
             }
         }
-        let mut campaign = spec.to_campaign();
-        if spec.sampling().is_none() {
-            if let Some(raw) = std::env::var_os(SIMPOINT_ENV) {
-                let raw = raw.to_string_lossy();
-                match parse_simpoint_env(&raw) {
-                    Some(sp) => campaign = campaign.sampling(sp),
-                    // Degrade to exact replay: a malformed sampling knob
-                    // must never fail (or silently skew) the simulation.
-                    None => eprintln!(
-                        "[campaign] ignoring {SIMPOINT_ENV}={raw:?}: expected \
-                         \"1\", \"default\", or \"interval,max_phases,seed,iterations\""
-                    ),
+        let sampling = spec.sampling().or_else(|| {
+            let raw = std::env::var_os(SIMPOINT_ENV)?;
+            let raw = raw.to_string_lossy();
+            let parsed = parse_simpoint_env(&raw);
+            // Degrade to exact replay: a malformed sampling knob must
+            // never fail (or silently skew) the simulation.
+            if parsed.is_none() {
+                // repolint:allow(PERF004) one-shot config warning before the grid runs
+                eprintln!(
+                    "[campaign] ignoring {SIMPOINT_ENV}={raw:?}: expected \
+                     \"1\", \"default\", or \"interval,max_phases,seed,iterations\""
+                );
+            }
+            parsed
+        });
+        let workloads = spec.workloads();
+        let strategies = spec.strategies();
+        let configs = spec.configs();
+
+        // Deterministic nested order: workload, then config, then strategy.
+        let mut jobs: Vec<(KernelParams, usize, Strategy)> = Vec::new();
+        for &w in &workloads {
+            for c in 0..configs.len() {
+                for &s in &strategies {
+                    jobs.push((w, c, s));
                 }
             }
         }
-        campaign.on_progress_hook(hook).run_with_cache(cache)
-    }
-}
 
-/// The facade every harness binary runs grids through. Wraps a
-/// [`GridRunner`] plus an optional progress hook.
-#[derive(Clone)]
-pub struct CampaignClient {
-    runner: Arc<dyn GridRunner>,
-    progress: Option<ProgressHook>,
-}
+        let total = jobs.len();
+        let completed = AtomicUsize::new(0);
+        let hits0 = cache.hits();
+        let builds0 = cache.builds();
+        let filter_hits0 = cache.miss_hits();
+        let filter_builds0 = cache.miss_builds();
+        let simpoint_hits0 = cache.simpoint_hits();
+        let simpoint_builds0 = cache.simpoint_builds();
+        let store0 = cache.store_metrics();
 
-impl CampaignClient {
-    /// A client over the in-process engine and the process-wide cache.
-    pub fn local() -> CampaignClient {
-        CampaignClient::with_runner(Arc::new(LocalRunner::new()))
-    }
+        // Pre-build every distinct miss stream in parallel (each pulls its
+        // packed trace through the first memo level on demand). Without
+        // this the workload-major job order makes all workers start on the
+        // same kernel and serialize behind one memo slot's build; warming
+        // first costs max(build times) instead of their sum. Config
+        // variants sharing a cache geometry and thread count dedup to one
+        // filter pass here.
+        let mut distinct: Vec<(KernelParams, usize, FilterKey)> = Vec::new();
+        for &w in &workloads {
+            for (c, (_, cfg)) in configs.iter().enumerate() {
+                let key = FilterKey::new(w, cfg);
+                if !distinct.iter().any(|(_, _, k)| *k == key) {
+                    distinct.push((w, c, key));
+                }
+            }
+        }
 
-    /// A client over the in-process engine and a private cache.
-    pub fn with_cache(cache: Arc<TraceCache>) -> CampaignClient {
-        CampaignClient::with_runner(Arc::new(LocalRunner::with_cache(cache)))
-    }
+        // For the sampling accounting pass below: the (workload, config)
+        // pair of every job, before `jobs` moves into the executor.
+        let job_cells: Vec<(KernelParams, usize)> = jobs.iter().map(|&(w, c, _)| (w, c)).collect();
 
-    /// A client over any [`GridRunner`] (e.g. a campaign-server handle).
-    pub fn with_runner(runner: Arc<dyn GridRunner>) -> CampaignClient {
-        CampaignClient { runner, progress: None }
-    }
+        let execute = || -> Vec<CampaignResult> {
+            distinct.into_par_iter().for_each(|(w, c, _)| {
+                cache.get_filtered(w, &configs[c].1);
+                if let Some(sp) = &sampling {
+                    cache.get_simpoints(w, &configs[c].1, sp);
+                }
+            });
+            jobs.into_par_iter()
+                .map(|(workload, cfg_idx, strategy)| {
+                    let (tag, cfg) = &configs[cfg_idx];
+                    // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
+                    let job_start = Instant::now();
+                    let ms = cache.get_filtered(workload, cfg);
+                    let stats = match &sampling {
+                        Some(sp) => {
+                            let sel = cache.get_simpoints(workload, cfg, sp);
+                            run_strategy_sampled(&ms, &sel, cfg, strategy)
+                        }
+                        None => run_strategy_miss_stream(&ms, cfg, strategy),
+                    };
+                    let result = CampaignResult {
+                        kernel: workload.kind(),
+                        workload,
+                        strategy,
+                        config_tag: tag.clone(),
+                        stats,
+                    };
+                    if let Some(hook) = &self.progress {
+                        let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
+                        hook(&Progress {
+                            completed: done,
+                            total,
+                            kernel: result.kernel,
+                            strategy,
+                            config_tag: result.config_tag.clone(),
+                            job_wall: job_start.elapsed(),
+                            cache_hits: cache.hits(),
+                            cache_builds: cache.builds(),
+                        });
+                    }
+                    result
+                })
+                .collect()
+        };
 
-    /// Install a per-job progress hook for every grid this client runs.
-    pub fn on_progress(
-        mut self,
-        hook: impl Fn(&crate::campaign::Progress) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(Arc::new(hook));
-        self
-    }
+        let results = match spec.threads() {
+            Some(n) => rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
+                .install(execute),
+            None => execute(),
+        };
 
-    /// Execute a spec and collect the full run.
-    pub fn run(&self, spec: &CampaignSpec) -> CampaignRun {
-        self.runner.run_grid(spec, self.progress.clone())
+        let store = cache.store_metrics().since(&store0);
+        // Snapshot the simpoint counters before the accounting pass below,
+        // whose memo lookups would otherwise inflate the hit delta.
+        let simpoint_hits = cache.simpoint_hits() - simpoint_hits0;
+        let simpoint_builds = cache.simpoint_builds() - simpoint_builds0;
+        let mut sampled_cells = 0usize;
+        let mut slices_replayed = 0u64;
+        let mut est_error_budget = 0.0f64;
+        if let Some(sp) = &sampling {
+            for (w, c) in job_cells {
+                let sel = cache.get_simpoints(w, &configs[c].1, sp);
+                sampled_cells += 1;
+                slices_replayed += sel.phases().len() as u64;
+                est_error_budget = est_error_budget.max(sel.est_error());
+            }
+        }
+        CampaignRun {
+            results,
+            metrics: CampaignMetrics {
+                jobs: total,
+                cache_hits: cache.hits() - hits0,
+                cache_builds: cache.builds() - builds0,
+                filter_hits: cache.miss_hits() - filter_hits0,
+                filter_builds: cache.miss_builds() - filter_builds0,
+                store_hits: store.hits,
+                store_misses: store.misses,
+                store_writes: store.writes,
+                store_evictions: store.evictions,
+                simpoint_hits,
+                simpoint_builds,
+                sampled_cells,
+                slices_replayed,
+                est_error_budget,
+            },
+        }
     }
 }
 
@@ -441,7 +520,7 @@ mod tests {
         assert_eq!(run.results.len(), 1);
         assert_eq!(run.metrics.cache_builds, 1);
         assert_eq!(run.metrics.store_hits, 0, "no store attached");
-        // The facade and the raw engine agree bit-for-bit.
+        // The client and the one-cell primitive agree bit-for-bit.
         let direct = crate::campaign::run_strategy_job(
             &tiny().build(),
             &SystemConfig::default(),

@@ -67,14 +67,14 @@ impl BasicTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::client::{CampaignClient, CampaignSpec};
     use abft_memsim::workloads::{CgParams, DgemmParams};
 
     fn small_dgemm() -> BasicTest {
-        Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
-            .run()
-            .basic_test(KernelKind::Dgemm)
+            .build();
+        CampaignClient::local().run(&spec).basic_test(KernelKind::Dgemm)
     }
 
     #[test]
@@ -120,10 +120,10 @@ mod tests {
     fn cg_is_the_most_ecc_sensitive_kernel() {
         // Sanity proxy of the paper's Figure 5: CG (memory intensive) pays
         // more for whole chipkill than DGEMM pays relative to its W_SD.
-        let cg = Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(CgParams { grid: 192, iterations: 4, abft: true, verify_interval: 2 })
-            .run()
-            .basic_test(KernelKind::Cg);
+            .build();
+        let cg = CampaignClient::local().run(&spec).basic_test(KernelKind::Cg);
         assert!(
             cg.mem_energy_norm(Strategy::WholeChipkill) > cg.mem_energy_norm(Strategy::WholeSecded)
         );
@@ -197,16 +197,16 @@ pub fn fault_adjusted(
 #[cfg(test)]
 mod fault_adjusted_tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::client::{CampaignClient, CampaignSpec};
     use crate::strategy::Strategy;
     use abft_memsim::workloads::DgemmParams;
 
     #[test]
     fn are_beats_ase_at_field_error_rates_and_loses_in_storms() {
-        let bt = Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
-            .run()
-            .basic_test(KernelKind::Dgemm);
+            .build();
+        let bt = CampaignClient::local().run(&spec).basic_test(KernelKind::Dgemm);
         let day = 86_400.0;
         let gb = 1u64 << 30;
         // A day of FT-DGEMM, 2 GB ABFT data, 6 GB other.

@@ -1,8 +1,12 @@
 //! Report emission for the harness binaries (one per paper
-//! table/figure): plain-text table rendering plus the [`ReportSink`]
+//! table/figure): plain-text table rendering, the [`ReportSink`]
 //! trait every binary routes its sections, tables, and JSON/CSV
-//! artifacts through.
+//! artifacts through, and the bit-exact one-line cell format
+//! ([`format_cell`]) the artifact-store gate diffs across processes.
 
+use crate::campaign::CampaignResult;
+use crate::strategy::Strategy;
+use abft_memsim::workloads::KernelParams;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -78,11 +82,59 @@ pub fn joules(x: f64) -> String {
     }
 }
 
+/// Stable token for a strategy (no spaces; distinct from the
+/// human-facing labels, which embed `+` and spaces).
+fn strategy_token(s: Strategy) -> &'static str {
+    match s {
+        Strategy::NoEcc => "no-ecc",
+        Strategy::WholeChipkill => "w-ck",
+        Strategy::PartialChipkillNoEcc => "p-ck-no-ecc",
+        Strategy::WholeSecded => "w-sd",
+        Strategy::PartialSecdedNoEcc => "p-sd-no-ecc",
+        Strategy::PartialChipkillSecded => "p-ck-p-sd",
+    }
+}
+
+/// Stable token for a workload: `kind:field:field:...` with ABFT flags
+/// as `0`/`1`.
+fn workload_token(p: KernelParams) -> String {
+    let flag = |b: bool| u8::from(b);
+    match p {
+        KernelParams::Dgemm(d) => {
+            format!("dgemm:{}:{}:{}:{}", d.n, d.nb, flag(d.abft), d.verify_interval)
+        }
+        KernelParams::Cholesky(c) => format!("cholesky:{}:{}:{}", c.n, c.nb, flag(c.abft)),
+        KernelParams::Cg(c) => {
+            format!("cg:{}:{}:{}:{}", c.grid, c.iterations, flag(c.abft), c.verify_interval)
+        }
+        KernelParams::Hpl(h) => format!("hpl:{}:{}:{}", h.n, h.nb, flag(h.abft)),
+    }
+}
+
+/// One campaign cell as a single canonical line: its grid index,
+/// workload and strategy tokens, config tag, integer counters, and every
+/// floating-point field as the hex of its IEEE-754 bit pattern, so two
+/// outputs are byte-identical exactly when the `SimStats` are
+/// bit-identical.
+pub fn format_cell(index: usize, r: &CampaignResult) -> String {
+    format!(
+        "cell {index} {} {} {} cycles={} instr={} seconds={:016x} ipc={:016x} mem_j={:016x} sys_j={:016x}",
+        workload_token(r.workload),
+        strategy_token(r.strategy),
+        r.config_tag,
+        r.stats.cycles,
+        r.stats.instructions,
+        r.stats.seconds.to_bits(),
+        r.stats.ipc().to_bits(),
+        r.stats.mem_total_j().to_bits(),
+        r.stats.system_j().to_bits(),
+    )
+}
+
 /// Where a harness binary's output goes: headed sections, rendered
 /// tables, free-form notes, and named machine-readable artifacts
 /// (`*.json` / `*.csv`). Implementations decide the medium — the
-/// terminal ([`StdoutSink`]), a report file ([`FileSink`]), or a
-/// campaign-server result stream.
+/// terminal ([`StdoutSink`]) or a report file ([`FileSink`]).
 ///
 /// Emission is best-effort by design: a full disk or closed pipe must
 /// never fail the simulation whose results are being reported, so
@@ -260,6 +312,34 @@ mod tests {
         let art = std::fs::read_to_string(dir.join("cells.csv")).expect("artifact exists");
         assert_eq!(art, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cell_lines_carry_distinct_tokens_and_exact_bits() {
+        use abft_memsim::workloads::{DgemmParams, KernelKind};
+        let tokens: Vec<&str> = Strategy::ALL.iter().map(|&s| strategy_token(s)).collect();
+        for (i, t) in tokens.iter().enumerate() {
+            assert!(!t.contains(' '), "{t}");
+            assert!(!tokens[..i].contains(t), "duplicate token {t}");
+        }
+        let kinds: Vec<String> =
+            KernelKind::ALL.iter().map(|&k| workload_token(KernelParams::default_for(k))).collect();
+        assert!(kinds.iter().all(|t| !t.contains(' ')), "{kinds:?}");
+        let workload =
+            KernelParams::Dgemm(DgemmParams { n: 320, nb: 32, abft: false, verify_interval: 7 });
+        let mut stats = abft_memsim::system::SimStats::default();
+        stats.cycles = 7;
+        stats.seconds = 0.5;
+        let cell = CampaignResult {
+            kernel: KernelKind::Dgemm,
+            workload,
+            strategy: Strategy::WholeChipkill,
+            config_tag: "default".to_string(),
+            stats,
+        };
+        let line = format_cell(3, &cell);
+        assert!(line.starts_with("cell 3 dgemm:320:32:0:7 w-ck default cycles=7 "), "{line}");
+        assert!(line.contains(&format!("seconds={:016x}", 0.5f64.to_bits())), "{line}");
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl From<std::io::Error> for StoreError {
 
 /// Incremental FNV-1a digest over a canonical byte encoding — the
 /// content address of every artifact, and reusable by higher layers
-/// (the campaign server keys grid cells with it) for any value that can
-/// be reduced to a stable byte walk.
+/// (the benchmark digests its grid cells with it) for any value that
+/// can be reduced to a stable byte walk.
 #[derive(Debug, Clone)]
 pub struct StableDigest(u128);
 

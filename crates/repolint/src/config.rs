@@ -29,7 +29,9 @@ pub struct RuleCfg {
     /// DET004 / PERF00x: reachability roots, as `Type::method` or bare
     /// function names. DET004 always adds binary `main`s on top; the
     /// PERF rules deliberately do not (binaries print and allocate as
-    /// their job — only the replay entry points define hotness).
+    /// their job — only the replay entry points define hotness). Empty
+    /// unless configured; a name that matches no workspace function is
+    /// a config error when the rule runs.
     pub entry_points: Vec<String>,
 }
 
@@ -49,16 +51,7 @@ impl RuleCfg {
             } else {
                 Vec::new()
             },
-            entry_points: if code == "DET004" || code.starts_with("PERF") {
-                vec![
-                    "Campaign::run".to_string(),
-                    "Machine::simulate".to_string(),
-                    "MissStream::build".to_string(),
-                    "MissStream::events_from".to_string(),
-                ]
-            } else {
-                Vec::new()
-            },
+            entry_points: Vec::new(),
         }
     }
 }

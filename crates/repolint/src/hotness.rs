@@ -12,7 +12,7 @@
 //!    frame too, because its closure runs once per element.
 //! 2. **A workspace hot set.** Starting from the configured replay entry
 //!    points (`Machine::simulate`, `MissStream::build`, SimPoint slice
-//!    replay, `Campaign::run`), hotness propagates forward over the
+//!    replay, `CampaignClient::run`), hotness propagates forward over the
 //!    [`CallGraph`]: a callee's heat is its caller's heat plus the loop
 //!    depth of the call site, capped at [`HEAT_CAP`]. A function whose
 //!    call site sits inside a loop is therefore *hotter* than its

@@ -1,8 +1,9 @@
 //! CONC001–CONC004: cross-crate concurrency safety.
 //!
-//! The campaign job server (PR 6) made the reproduction a long-running
-//! concurrent service, so the determinism guarantees now also depend on
-//! lock discipline. These rules combine the guard-liveness pass
+//! The campaign engine runs its grid cells on a worker pool over shared,
+//! lock-guarded caches (the trace memo and the artifact store), so the
+//! determinism guarantees also depend on lock discipline. These rules
+//! combine the guard-liveness pass
 //! ([`crate::guards`]) with the workspace call graph:
 //!
 //! - **CONC001** — a `Mutex`/`RwLock` guard is held across a call that

@@ -48,7 +48,7 @@ pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
     // Roots: configured entry points plus every binary `main`.
     let mut roots = Vec::new();
     for (i, f) in table.fns.iter().enumerate() {
-        let is_entry = cfg.entry_points.iter().any(|e| f.qual() == *e || f.name == *e);
+        let is_entry = cfg.entry_points.iter().any(|e| f.is_entry(e));
         let is_bin_main =
             f.name == "main" && sem.ctxs[f.file].kind == FileKind::Bin && f.self_ty.is_none();
         if is_entry || is_bin_main {
@@ -137,18 +137,25 @@ mod tests {
 
     fn lint_ws(sources: &[(&str, &str, &str)], cfg: &Config) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(sources).expect("fixture parses");
-        ws.lint(cfg)
+        ws.lint(cfg).expect("entry points resolve")
+    }
+
+    /// Config rooting DET004 at the fixtures' `CampaignClient::run`.
+    fn det_cfg() -> Config {
+        let mut cfg = Config::default();
+        cfg.rules.get_mut("DET004").unwrap().entry_points = vec!["CampaignClient::run".to_string()];
+        cfg
     }
 
     #[test]
     fn reports_chain_through_helpers() {
-        let cfg = Config::default();
+        let cfg = det_cfg();
         let diags = lint_ws(
             &[(
                 "crates/core/src/campaign.rs",
                 "abft-core",
-                "pub struct Campaign;\n\
-                 impl Campaign {\n\
+                "pub struct CampaignClient;\n\
+                 impl CampaignClient {\n\
                  \x20   pub fn run(&self) { step_one(); }\n\
                  }\n\
                  fn step_one() { step_two(); }\n\
@@ -161,22 +168,22 @@ mod tests {
         let d = det[0];
         assert_eq!(d.line, 6);
         assert!(d.message.contains("`Instant::now`"), "{}", d.message);
-        assert!(d.message.contains("`Campaign::run`"), "{}", d.message);
+        assert!(d.message.contains("`CampaignClient::run`"), "{}", d.message);
         assert!(d.message.contains("`step_one`"), "{}", d.message);
         assert!(d.message.contains("`step_two`"), "{}", d.message);
     }
 
     #[test]
     fn unreachable_sources_and_tests_stay_quiet() {
-        let cfg = Config::default();
+        let cfg = det_cfg();
         // The sink lives in a function nothing on the entry path calls,
         // and in a #[cfg(test)] module.
         let diags = lint_ws(
             &[(
                 "crates/core/src/campaign.rs",
                 "abft-core",
-                "pub struct Campaign;\n\
-                 impl Campaign {\n\
+                "pub struct CampaignClient;\n\
+                 impl CampaignClient {\n\
                  \x20   pub fn run(&self) { pure(); }\n\
                  }\n\
                  fn pure() {}\n\
@@ -196,13 +203,13 @@ mod tests {
 
     #[test]
     fn suppression_covers_the_sink_line() {
-        let cfg = Config::default();
+        let cfg = det_cfg();
         let diags = lint_ws(
             &[(
                 "crates/core/src/campaign.rs",
                 "abft-core",
-                "pub struct Campaign;\n\
-                 impl Campaign {\n\
+                "pub struct CampaignClient;\n\
+                 impl CampaignClient {\n\
                  \x20   pub fn run(&self) {\n\
                  \x20       // repolint:allow(DET002,DET004) wall time is reporting-only metadata\n\
                  \x20       let _t = std::time::Instant::now();\n\
@@ -216,7 +223,7 @@ mod tests {
 
     #[test]
     fn crate_scoping_limits_sinks_not_roots() {
-        let mut cfg = Config::default();
+        let mut cfg = det_cfg();
         cfg.rules.get_mut("DET004").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
         // Root in abft-core, sink in abft-kernels (out of scope): quiet.
         // Same root reaching a sink in abft-memsim (in scope): fires.
@@ -227,8 +234,8 @@ mod tests {
                     "abft-core",
                     "use abft_kernels::timed_probe;\n\
                      use abft_memsim::advance;\n\
-                     pub struct Campaign;\n\
-                     impl Campaign {\n\
+                     pub struct CampaignClient;\n\
+                     impl CampaignClient {\n\
                      \x20   pub fn run(&self) { timed_probe(); advance(); }\n\
                      }\n",
                 ),

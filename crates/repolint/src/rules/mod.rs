@@ -96,12 +96,32 @@ pub fn run_all(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
 }
 
 /// Run the semantic rules over the whole workspace; the symbol table
-/// and call graph are built once and shared.
-pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mut Vec<Diagnostic>) {
+/// and call graph are built once and shared. Fails when an enabled
+/// rule's `entry_points` names a function the workspace does not have:
+/// dropping the root silently would shrink DET004's reach and the PERF
+/// hot set without any finding changing.
+pub fn run_semantic(
+    ws: &Workspace,
+    ctxs: &[FileCtx<'_>],
+    cfg: &Config,
+    out: &mut Vec<Diagnostic>,
+) -> Result<(), String> {
     if SEMANTIC.iter().all(|(code, _)| cfg.rule(code).severity == Severity::Allow) {
-        return;
+        return Ok(());
     }
     let table = SymbolTable::build(ws);
+    for (code, _) in SEMANTIC {
+        let rule = cfg.rule(code);
+        if rule.severity == Severity::Allow {
+            continue;
+        }
+        if let Some(e) = rule.entry_points.iter().find(|e| !table.fns.iter().any(|f| f.is_entry(e)))
+        {
+            return Err(format!(
+                "[rules.{code}] entry point `{e}` matches no function in the workspace"
+            ));
+        }
+    }
     let graph = CallGraph::build(ws, &table);
     let conc = table
         .fns
@@ -129,7 +149,7 @@ pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mu
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| eps.iter().any(|e| f.qual() == **e || f.name == **e))
+            .filter(|(_, f)| eps.iter().any(|e| f.is_entry(e)))
             .map(|(i, _)| i)
             .collect();
         Hotness::build(ws, &table, &graph, &roots)
@@ -154,6 +174,7 @@ pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mu
             out.push(d);
         }
     }
+    Ok(())
 }
 
 /// Shared constructor so every rule emits the same shape.

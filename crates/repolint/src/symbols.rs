@@ -43,6 +43,12 @@ impl FnSym {
             None => self.name.clone(),
         }
     }
+
+    /// Whether a configured `entry_points` name (`Type::method` or a
+    /// bare function name) denotes this function.
+    pub(crate) fn is_entry(&self, entry: &str) -> bool {
+        self.name == entry || self.qual() == entry
+    }
 }
 
 /// One named `pub` item (dead-API candidate universe).

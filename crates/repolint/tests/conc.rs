@@ -11,7 +11,11 @@ use repolint::Workspace;
 
 fn conc_diags(sources: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
     let ws = Workspace::from_sources(sources).expect("fixture parses");
-    ws.lint(&Config::default()).into_iter().filter(|d| d.rule.starts_with("CONC")).collect()
+    ws.lint(&Config::default())
+        .expect("config resolves")
+        .into_iter()
+        .filter(|d| d.rule.starts_with("CONC"))
+        .collect()
 }
 
 /// The seeded-bug crate pair. Line numbers are load-bearing — the

@@ -1,5 +1,5 @@
 //! Acceptance check for DET004: injecting a synthetic `Instant::now()`
-//! two calls below `Campaign::run` into an otherwise-clean scratch
+//! two calls below `CampaignClient::run` into an otherwise-clean scratch
 //! workspace must produce a diagnostic naming the full call chain, and
 //! removing the injection must return the tree to green.
 
@@ -41,8 +41,8 @@ const DIRTY_HELPERS: &str =
 
 fn campaign_crate(helpers: &str) -> String {
     format!(
-        "pub struct Campaign;\n\
-         impl Campaign {{\n\
+        "pub struct CampaignClient;\n\
+         impl CampaignClient {{\n\
          \x20   pub fn run(&self) {{ tally(); }}\n\
          }}\n\
          {helpers}"
@@ -50,7 +50,9 @@ fn campaign_crate(helpers: &str) -> String {
 }
 
 fn check(ws: &Scratch) -> repolint::Report {
-    check_workspace(&ws.root, &Config::default(), &Baseline::default()).expect("check runs")
+    let mut cfg = Config::default();
+    cfg.rules.get_mut("DET004").unwrap().entry_points = vec!["CampaignClient::run".to_string()];
+    check_workspace(&ws.root, &cfg, &Baseline::default()).expect("check runs")
 }
 
 #[test]
@@ -68,7 +70,7 @@ fn injected_entropy_two_calls_below_the_entry_point_is_chained() {
     assert_eq!((d.path.as_str(), d.line), ("crates/core/src/lib.rs", 6));
     // The chain names every hop from the entry point to the sink, with
     // the call sites that connect them.
-    for hop in ["`Campaign::run`", "`tally`", "`fold`", "`Instant::now`"] {
+    for hop in ["`CampaignClient::run`", "`tally`", "`fold`", "`Instant::now`"] {
         assert!(d.message.contains(hop), "missing {hop} in: {}", d.message);
     }
     assert!(

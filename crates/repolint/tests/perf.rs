@@ -81,7 +81,11 @@ fn perf_cfg() -> Config {
 
 fn perf_diags(sources: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
     let ws = Workspace::from_sources(sources).expect("fixture parses");
-    ws.lint(&perf_cfg()).into_iter().filter(|d| d.rule.starts_with("PERF")).collect()
+    ws.lint(&perf_cfg())
+        .expect("entry points resolve")
+        .into_iter()
+        .filter(|d| d.rule.starts_with("PERF"))
+        .collect()
 }
 
 fn seeded() -> Vec<Diagnostic> {

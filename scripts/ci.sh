@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate: formatting, the repolint static-analysis pass, release
 # build, the test suite (plain and with the memsim `validate` invariant
-# audits), and a warning-free clippy pass. Usage: scripts/ci.sh
+# audits), the perfbench unit tests, and a warning-free clippy pass.
+# Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,6 +55,12 @@ trap 'rm -rf "$STORE_GATE_DIR"' EXIT
 
 echo "=== cargo test -q --workspace ==="
 cargo test -q --workspace
+
+echo "=== perfbench unit tests (the benchmark's own package) ==="
+# perfbench is a Cargo package of its own (not a workspace member), so
+# the workspace run above does not build it; running its tests here makes
+# a core API change that breaks the benchmark fail CI.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
 cargo test -q -p abft-memsim --features validate

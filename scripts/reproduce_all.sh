@@ -2,8 +2,8 @@
 # Regenerate every table/figure of the paper plus the ablation studies.
 # Usage: scripts/reproduce_all.sh [outdir]
 #
-# Each binary drives the shared Campaign engine, so its simulation grid
-# runs on a rayon pool; export RAYON_NUM_THREADS=N to bound the workers
+# Each binary runs its simulation grid through the shared CampaignClient on
+# a rayon pool; export RAYON_NUM_THREADS=N to bound the workers
 # (results are bit-identical at any worker count).
 set -euo pipefail
 out="${1:-reproduction-output}"

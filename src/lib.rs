@@ -37,8 +37,9 @@ pub mod prelude {
     pub use abft_coop_core::{
         decide, drill_chip_fault, drill_matrix, fault_adjusted, run_strategy_job,
         run_strategy_miss_stream, run_strategy_sampled, run_strategy_source, summarize_cases,
-        AdaptiveConfig, AdaptiveController, BasicTest, Campaign, CampaignMetrics, CampaignResult,
-        CampaignRun, PolicyInputs, Progress, Stance, Strategy, StrategyResult,
+        AdaptiveConfig, AdaptiveController, BasicTest, CampaignClient, CampaignMetrics,
+        CampaignResult, CampaignRun, CampaignSpec, PolicyInputs, Progress, Stance, Strategy,
+        StrategyResult,
     };
     pub use abft_coop_runtime::{EccRuntime, RetirePolicy, SwapSpace, SysfsChannel};
     pub use abft_ecc::{EccOutcome, EccScheme, ProtectedLine};

@@ -16,17 +16,18 @@ fn small_workloads() -> [KernelParams; 4] {
     ]
 }
 
-fn run_with_threads(cache: &TraceCache, threads: usize) -> CampaignRun {
-    Campaign::new()
+fn run_with_threads(cache: &Arc<TraceCache>, threads: usize) -> CampaignRun {
+    let spec = CampaignSpec::builder()
         .workloads(small_workloads())
         .strategies(Strategy::ALL)
         .threads(threads)
-        .run_with_cache(cache)
+        .build();
+    CampaignClient::with_cache(Arc::clone(cache)).run(&spec)
 }
 
 #[test]
 fn parallel_campaign_is_bit_identical_to_serial() {
-    let cache = TraceCache::new();
+    let cache = Arc::new(TraceCache::new());
     let serial = run_with_threads(&cache, 1);
     let parallel = run_with_threads(&cache, 4);
 
@@ -58,7 +59,7 @@ fn parallel_campaign_is_bit_identical_to_serial() {
 
 #[test]
 fn trace_cache_shares_one_generation_per_workload() {
-    let cache = TraceCache::new();
+    let cache = Arc::new(TraceCache::new());
 
     let first = run_with_threads(&cache, 4);
     assert_eq!(first.metrics.jobs, 24);
