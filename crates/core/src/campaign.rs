@@ -38,7 +38,6 @@ use crate::strategy::Strategy;
 use abft_memsim::miss_stream::MissStream;
 use abft_memsim::simpoint::SimPointSelection;
 use abft_memsim::system::{Machine, SimRequest, SimStats};
-use abft_memsim::trace::Trace;
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
 use abft_memsim::{AccessSource, SystemConfig};
 use std::io::Write;
@@ -58,12 +57,6 @@ pub fn run_strategy_source<S: AccessSource + ?Sized>(
     let regions = abft_region_ids(src.regions());
     let assign = strategy.assignment(&regions);
     Machine::new(cfg.clone()).simulate(SimRequest::source(&mut src, assign))
-}
-
-/// [`run_strategy_source`] over a materialized trace (the compatibility
-/// adapter for hand-built traces; bit-identical to streaming).
-pub fn run_strategy_job(trace: &Trace, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
-    run_strategy_source(&mut trace.replay(), cfg, strategy)
 }
 
 /// [`run_strategy_source`] over a cache-filtered miss stream — the fast
@@ -459,7 +452,11 @@ mod tests {
         let bt = run.basic_test(KernelKind::Dgemm);
         assert_eq!(bt.rows.len(), 6);
         let trace = tiny().build();
-        let direct = run_strategy_job(&trace, &SystemConfig::default(), Strategy::WholeChipkill);
+        let direct = run_strategy_source(
+            &mut trace.replay(),
+            &SystemConfig::default(),
+            Strategy::WholeChipkill,
+        );
         assert_eq!(bt.row(Strategy::WholeChipkill).stats, direct);
     }
 

@@ -521,8 +521,8 @@ mod tests {
         assert_eq!(run.metrics.cache_builds, 1);
         assert_eq!(run.metrics.store_hits, 0, "no store attached");
         // The client and the one-cell primitive agree bit-for-bit.
-        let direct = crate::campaign::run_strategy_job(
-            &tiny().build(),
+        let direct = crate::campaign::run_strategy_source(
+            &mut tiny().build().replay(),
             &SystemConfig::default(),
             Strategy::NoEcc,
         );

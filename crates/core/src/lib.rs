@@ -36,8 +36,8 @@ pub mod strategy;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, Stance, Transition};
 pub use campaign::{
-    run_strategy_job, run_strategy_miss_stream, run_strategy_sampled, run_strategy_source,
-    CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
+    run_strategy_miss_stream, run_strategy_sampled, run_strategy_source, CampaignMetrics,
+    CampaignResult, CampaignRun, Progress, ProgressHook,
 };
 pub use client::{
     parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SIMPOINT_ENV, STORE_ENV,

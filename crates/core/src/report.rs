@@ -6,7 +6,9 @@
 
 use crate::campaign::CampaignResult;
 use crate::strategy::Strategy;
+use abft_memsim::system::SimStats;
 use abft_memsim::workloads::KernelParams;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -111,23 +113,63 @@ fn workload_token(p: KernelParams) -> String {
     }
 }
 
+/// Every field of a [`SimStats`] as one canonical line, in declaration
+/// order: integers in decimal, each f64 as the hex of its IEEE-754 bit
+/// pattern, `per_scheme` as `none:secded:chipkill`, and one
+/// `region<i>=name:protected:detectable:refs:l1_misses:llc_misses` token
+/// per region. Two lines are byte-identical exactly when the `SimStats`
+/// are bit-identical.
+pub fn format_stats(s: &SimStats) -> String {
+    let bits = |x: f64| format!("{:016x}", x.to_bits());
+    let mut line = format!(
+        "instructions={} cycles={} seconds={} ipc={} mem_dynamic_j={} mem_standby_j={} \
+         proc_j={} l1_hit_rate={} l2_hit_rate={} row_hit_rate={} dram_reads={} dram_writes={} \
+         per_scheme={}:{}:{} avg_dram_latency_ns={} avg_dram_queue_ns={} dram_bandwidth_gbps={}",
+        s.instructions,
+        s.cycles,
+        bits(s.seconds),
+        bits(s.ipc()),
+        bits(s.mem_dynamic_j()),
+        bits(s.mem_standby_j()),
+        bits(s.proc_j()),
+        bits(s.l1_hit_rate),
+        bits(s.l2_hit_rate),
+        bits(s.row_hit_rate),
+        s.dram_reads,
+        s.dram_writes,
+        s.per_scheme[0],
+        s.per_scheme[1],
+        s.per_scheme[2],
+        bits(s.avg_dram_latency_ns),
+        bits(s.avg_dram_queue_ns),
+        bits(s.dram_bandwidth_gbps),
+    );
+    for (i, r) in s.regions.iter().enumerate() {
+        let _ = write!(
+            line,
+            " region{i}={}:{}:{}:{}:{}:{}",
+            r.name,
+            u8::from(r.abft_protected),
+            u8::from(r.abft_detectable),
+            r.refs,
+            r.l1_misses,
+            r.llc_misses
+        );
+    }
+    line
+}
+
 /// One campaign cell as a single canonical line: its grid index,
-/// workload and strategy tokens, config tag, integer counters, and every
-/// floating-point field as the hex of its IEEE-754 bit pattern, so two
-/// outputs are byte-identical exactly when the `SimStats` are
-/// bit-identical.
+/// workload and strategy tokens, config tag, and [`format_stats`] of its
+/// statistics, so two outputs are byte-identical exactly when the
+/// `SimStats` are bit-identical.
 pub fn format_cell(index: usize, r: &CampaignResult) -> String {
     format!(
-        "cell {index} {} {} {} cycles={} instr={} seconds={:016x} ipc={:016x} mem_j={:016x} sys_j={:016x}",
+        "cell {index} {} {} {} {}",
         workload_token(r.workload),
         strategy_token(r.strategy),
         r.config_tag,
-        r.stats.cycles,
-        r.stats.instructions,
-        r.stats.seconds.to_bits(),
-        r.stats.ipc().to_bits(),
-        r.stats.mem_total_j().to_bits(),
-        r.stats.system_j().to_bits(),
+        format_stats(&r.stats)
     )
 }
 
@@ -338,8 +380,34 @@ mod tests {
             stats,
         };
         let line = format_cell(3, &cell);
-        assert!(line.starts_with("cell 3 dgemm:320:32:0:7 w-ck default cycles=7 "), "{line}");
+        assert!(
+            line.starts_with("cell 3 dgemm:320:32:0:7 w-ck default instructions=0 cycles=7 "),
+            "{line}"
+        );
         assert!(line.contains(&format!("seconds={:016x}", 0.5f64.to_bits())), "{line}");
+    }
+
+    #[test]
+    fn stats_lines_print_every_field() {
+        // Field names come from `Debug`, so a field added to `SimStats` or
+        // `RegionStats` fails here until `format_stats` prints it.
+        use abft_memsim::system::{RegionStats, SimStats};
+        let names = |debug: String| -> Vec<String> {
+            debug
+                .split(['{', ','])
+                .filter_map(|t| Some(t.split_once(':')?.0.trim().into()))
+                .collect()
+        };
+        let mut stats = SimStats::default();
+        let fields = names(format!("{stats:?}"));
+        stats.regions.push(RegionStats::default());
+        let line = format_stats(&stats);
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for f in fields.iter().filter(|f| *f != "regions") {
+            assert!(tokens.iter().any(|t| t.starts_with(&format!("{f}="))), "no {f}: {line}");
+        }
+        let region = tokens.iter().find_map(|t| t.strip_prefix("region0=")).expect("region token");
+        assert_eq!(region.split(':').count(), names(format!("{:?}", RegionStats::default())).len());
     }
 
     #[test]

@@ -33,10 +33,6 @@ pub struct Cache {
     stamps: Vec<u64>,
     dirty: Vec<bool>,
     clock: u64,
-    /// Statistics.
-    pub hits: u64,
-    /// Statistics.
-    pub misses: u64,
 }
 
 impl Cache {
@@ -53,14 +49,7 @@ impl Cache {
             stamps: vec![0; sets * cfg.ways],
             dirty: vec![false; sets * cfg.ways],
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -85,7 +74,6 @@ impl Cache {
         for w in 0..self.cfg.ways {
             let tag = self.tags[base + w];
             if tag == line {
-                self.hits += 1;
                 self.stamps[base + w] = self.clock;
                 if write {
                     self.dirty[base + w] = true;
@@ -101,7 +89,6 @@ impl Cache {
                 lru = w;
             }
         }
-        self.misses += 1;
         // Victim priority is unchanged: first invalid way, else LRU.
         let slot = base + invalid.unwrap_or(lru);
         let writeback = if self.tags[slot] != u64::MAX && self.dirty[slot] {
@@ -113,29 +100,6 @@ impl Cache {
         self.stamps[slot] = self.clock;
         self.dirty[slot] = write;
         CacheOutcome::Miss { writeback }
-    }
-
-    /// Invalidate everything (keeps statistics).
-    pub fn flush(&mut self) -> Vec<u64> {
-        let mut dirty_lines = Vec::new(); // repolint:allow(PERF001) one writeback list per flush, not per access
-        for i in 0..self.tags.len() {
-            if self.tags[i] != u64::MAX && self.dirty[i] {
-                dirty_lines.push(self.tags[i] << self.line_shift);
-            }
-            self.tags[i] = u64::MAX;
-            self.dirty[i] = false;
-        }
-        dirty_lines
-    }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -198,36 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_returns_dirty_lines() {
-        let mut c = tiny();
-        c.access(0x0000, true);
-        c.access(0x0040, false);
-        let dirty = c.flush();
-        assert_eq!(dirty, vec![0x0000]);
-        assert!(matches!(c.access(0x0040, false), CacheOutcome::Miss { .. }));
-    }
-
-    #[test]
-    fn hit_rate_tracks() {
-        let mut c = tiny();
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(64, false);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn working_set_larger_than_capacity_thrashes() {
         let mut c = tiny();
         // 3 passes over 1 KB (16 lines) in a 512B cache with stride
         // mapping all lines across 4 sets x 2 ways: pure capacity misses.
         for _ in 0..3 {
             for i in 0..16u64 {
-                c.access(i * 64, false);
+                assert!(matches!(c.access(i * 64, false), CacheOutcome::Miss { .. }));
             }
         }
-        assert_eq!(c.hits, 0);
-        assert_eq!(c.misses, 48);
     }
 }

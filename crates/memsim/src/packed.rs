@@ -104,14 +104,21 @@ pub fn run_len(word: u64) -> usize {
     ((word >> RUN_SHIFT) & ((1 << RUN_BITS) - 1)) as usize + 1
 }
 
+/// The region id field of a packed word — the index [`unpack`] looks the
+/// region base up with.
+#[inline]
+pub(crate) fn region_id(word: u64) -> usize {
+    ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as usize
+}
+
 /// Unpack the head access of a word's run, given the per-region base
 /// table. Access `i` of the run is the head with `addr + 64 * i`.
 #[inline]
 pub fn unpack(word: u64, bases: &[u64]) -> Access {
-    let region = ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as RegionId;
+    let region = region_id(word);
     Access {
-        addr: (bases[region as usize] & !63) + (word >> OFFSET_SHIFT),
-        region,
+        addr: (bases[region] & !63) + (word >> OFFSET_SHIFT),
+        region: region as RegionId,
         write: (word >> WRITE_SHIFT) & 1 != 0,
         work: (word & ((1 << WORK_BITS) - 1)) as u32,
     }

@@ -36,8 +36,8 @@
 //! [`crate::trace_cache::TraceCache`] into the campaign layer's metrics.
 
 use crate::config::CacheConfig;
-use crate::miss_stream::{MissStream, MissStreamParts, RegionTally, SliceCursor};
-use crate::packed::PackedTrace;
+use crate::miss_stream::{MissStream, MissStreamParts, RegionTally, SliceCursor, WalkTotals};
+use crate::packed::{region_id, PackedTrace};
 use crate::simpoint::{SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection};
 use crate::trace::{Region, RegionMap};
 use crate::trace_cache::FilterKey;
@@ -348,6 +348,20 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
     Ok(words)
 }
 
+/// Reject any word whose region id the registry does not hold: replay
+/// looks the region base up by that id, so such a blob would pass its
+/// footer and then panic on first use.
+fn check_region_ids(
+    mut words: impl Iterator<Item = u64>,
+    regions: &RegionMap,
+) -> Result<(), StoreError> {
+    let count = regions.regions().len();
+    if words.any(|w| region_id(w) >= count) {
+        return Err(StoreError::Malformed("region id"));
+    }
+    Ok(())
+}
+
 fn encode_trace(t: &PackedTrace) -> Vec<u8> {
     let mut buf = Vec::new(); // repolint:allow(PERF001) one buffer per artifact encode
     put_regions(&mut buf, t.regions());
@@ -365,6 +379,7 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing trace payload"));
     }
+    check_region_ids(words.iter().copied(), &regions)?;
     Ok(PackedTrace::from_raw_parts(regions, words, len, instructions))
 }
 
@@ -372,15 +387,16 @@ fn encode_miss(ms: &MissStream) -> Vec<u8> {
     let mut buf = Vec::new();
     put_regions(&mut buf, ms.regions());
     put_varint(&mut buf, ms.events());
-    put_varint(&mut buf, ms.accesses());
-    put_varint(&mut buf, ms.instructions());
-    put_varint(&mut buf, ms.core_cycles());
-    put_varint(&mut buf, ms.l1_hits);
-    put_varint(&mut buf, ms.l1_misses);
-    put_varint(&mut buf, ms.l2_hits);
-    put_varint(&mut buf, ms.l2_misses);
-    put_varint(&mut buf, ms.raw_tallies().len() as u64);
-    for t in ms.raw_tallies() {
+    let totals = ms.totals();
+    put_varint(&mut buf, totals.accesses);
+    put_varint(&mut buf, totals.instructions);
+    put_varint(&mut buf, totals.core_cycles);
+    put_varint(&mut buf, totals.l1_hits);
+    put_varint(&mut buf, totals.l1_misses);
+    put_varint(&mut buf, totals.l2_hits);
+    put_varint(&mut buf, totals.l2_misses);
+    put_varint(&mut buf, totals.tallies.len() as u64);
+    for t in &totals.tallies {
         put_varint(&mut buf, t.refs);
         put_varint(&mut buf, t.l1_misses);
         put_varint(&mut buf, t.llc_misses);
@@ -409,20 +425,22 @@ fn get_cache_cfg(cur: &mut &[u8]) -> Result<CacheConfig, StoreError> {
 fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     let regions = get_regions(&mut cur)?;
     let events = get_varint(&mut cur)?;
-    let accesses = get_varint(&mut cur)?;
-    let instructions = get_varint(&mut cur)?;
-    let core_cycles = get_varint(&mut cur)?;
-    let l1_hits = get_varint(&mut cur)?;
-    let l1_misses = get_varint(&mut cur)?;
-    let l2_hits = get_varint(&mut cur)?;
-    let l2_misses = get_varint(&mut cur)?;
+    let mut totals = WalkTotals {
+        accesses: get_varint(&mut cur)?,
+        instructions: get_varint(&mut cur)?,
+        core_cycles: get_varint(&mut cur)?,
+        l1_hits: get_varint(&mut cur)?,
+        l1_misses: get_varint(&mut cur)?,
+        l2_hits: get_varint(&mut cur)?,
+        l2_misses: get_varint(&mut cur)?,
+        tallies: Vec::new(),
+    };
     let tally_count = get_varint(&mut cur)?;
     if tally_count != regions.regions().len() as u64 {
         return Err(StoreError::Malformed("tally count"));
     }
-    let mut tallies = Vec::with_capacity(tally_count as usize);
     for _ in 0..tally_count {
-        tallies.push(RegionTally {
+        totals.tallies.push(RegionTally {
             refs: get_varint(&mut cur)?,
             l1_misses: get_varint(&mut cur)?,
             llc_misses: get_varint(&mut cur)?,
@@ -438,18 +456,13 @@ fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     if !words.len().is_multiple_of(2) {
         return Err(StoreError::Malformed("odd miss word count"));
     }
+    // Word 0 of each two-word record carries the region field.
+    check_region_ids(words.iter().step_by(2).copied(), &regions)?;
     Ok(MissStream::from_raw_parts(MissStreamParts {
         regions,
         words,
         events,
-        accesses,
-        instructions,
-        core_cycles,
-        l1_hits,
-        l1_misses,
-        l2_hits,
-        l2_misses,
-        tallies,
+        totals,
         l1_cfg,
         l2_cfg,
         threads,
@@ -873,10 +886,8 @@ mod tests {
         store.save_miss(&key, &ms).unwrap();
         let loaded = store.load_miss(&key).expect("intact blob loads");
         assert_eq!(loaded.events(), ms.events());
-        assert_eq!(loaded.accesses(), ms.accesses());
-        assert_eq!(loaded.core_cycles(), ms.core_cycles());
+        assert_eq!(loaded.totals(), ms.totals());
         assert_eq!(loaded.raw_words(), ms.raw_words());
-        assert_eq!(loaded.raw_tallies(), ms.raw_tallies());
         assert!(loaded.matches(&cfg.l1, &cfg.l2, cfg.threads));
         let evs: Vec<_> = loaded.iter().collect();
         let expect: Vec<_> = ms.iter().collect();
@@ -936,6 +947,32 @@ mod tests {
         // A fresh save then load works again.
         store.save_trace(tiny(), &built).unwrap();
         assert!(store.load_trace(tiny()).is_some());
+    }
+
+    #[test]
+    fn decoders_reject_out_of_range_region_ids() {
+        // Re-encode a payload's trailing word section with one word's
+        // region field (bits 22..17) pointing past the registry: decoding
+        // must fail, not panic on replay.
+        fn tampered(payload: &[u8], words: &[u64], at: usize, stride: usize) -> Vec<u8> {
+            let mut tail = Vec::new();
+            put_words(&mut tail, words.iter().copied(), words.len() as u64, stride);
+            let mut bad = words.to_vec();
+            bad[at] |= 63 << 17;
+            let mut out = payload[..payload.len() - tail.len()].to_vec();
+            put_words(&mut out, bad.into_iter(), words.len() as u64, stride);
+            out
+        }
+        let packed = Arc::new(tiny().build_packed());
+        let words: Vec<u64> = packed.words().collect();
+        let err = decode_trace(&tampered(&encode_trace(&packed), &words, words.len() - 1, 1));
+        assert!(matches!(err, Err(StoreError::Malformed("region id"))), "{err:?}");
+
+        let cfg = SystemConfig::default();
+        let ms = MissStream::build(&mut packed.replay(), cfg.l1, cfg.l2, cfg.threads);
+        let words = ms.raw_words();
+        let err = decode_miss(&tampered(&encode_miss(&ms), words, words.len() - 2, 2));
+        assert!(matches!(err, Err(StoreError::Malformed("region id"))), "{err:?}");
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! Whole-node trace-driven simulation: in-order core(s) + L1/L2 caches +
 //! memory controller + DRAM, with the energy account of Section 5.
+//!
+//! [`Machine::simulate`] has one engine per input form, built from two
+//! shared pieces: the L1/L2 walk (`miss_stream::walk`), which turns an
+//! access stream into DRAM-visible events, and `Replay`, which services
+//! one event through MC + DRAM. The full path runs the walk with a
+//! `Replay` as its event sink; the exact filtered path feeds a `Replay`
+//! the events [`MissStream::build`] recorded from the same walk, and the
+//! sampled path selected slices of them. All three fold their results
+//! through one `assemble_stats`.
 
-use crate::cache::{Cache, CacheOutcome};
 use crate::config::SystemConfig;
 use crate::controller::MemoryController;
 use crate::dram::{AccessKind, AddressMap, Dram, DramStats};
-use crate::miss_stream::{MissEvent, MissEventKind, MissStream};
+use crate::miss_stream::{walk, MissEvent, MissEventKind, MissStream, RegionTally, WalkTotals};
 use crate::simpoint::SimPointSelection;
-use crate::stream::{AccessSource, DEFAULT_CHUNK};
+use crate::stream::AccessSource;
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 use abft_ecc::EccScheme;
 
@@ -168,13 +176,13 @@ where
     }
 }
 
-/// What a [`SimRequest`] replays: the four input forms every simulation
+/// What a [`SimRequest`] replays: the three input forms every simulation
 /// funnels through.
 pub enum SimInput<'a> {
-    /// A materialized trace (replayed through the full cache hierarchy).
-    Trace(&'a Trace),
-    /// A pull-based access stream (full cache hierarchy, bounded memory).
-    Source(&'a mut dyn AccessSource),
+    /// A pull-based access stream — a trace replay, a packed replay, a
+    /// live generator or a trace file (full cache hierarchy, bounded
+    /// memory).
+    Source(Box<dyn AccessSource + 'a>),
     /// A cache-filtered miss stream (exact DRAM-tail replay).
     MissStream(&'a MissStream),
     /// A miss stream replayed only at its selected representative
@@ -189,8 +197,7 @@ pub enum SimInput<'a> {
 
 /// One simulation request: an input, an ECC assignment, and optionally a
 /// custom protection policy — the single argument of
-/// [`Machine::simulate`], replacing the former seven `run_*` entry
-/// points.
+/// [`Machine::simulate`].
 ///
 /// Semantics: with `policy == None` the machine programs its MC range
 /// registers from `assign` and protects every request by the programmed
@@ -214,22 +221,17 @@ pub struct SimRequest<'a> {
 impl<'a> SimRequest<'a> {
     /// Replay a materialized trace under `assign`.
     pub fn trace(trace: &'a Trace, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest { input: SimInput::Trace(trace), assign, policy: None, ecc_chips_powered: None }
+        SimRequest::with_input(SimInput::Source(Box::new(trace.replay())), assign)
     }
 
     /// Replay a pull-based access stream under `assign`.
     pub fn source(src: &'a mut dyn AccessSource, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest { input: SimInput::Source(src), assign, policy: None, ecc_chips_powered: None }
+        SimRequest::with_input(SimInput::Source(Box::new(src)), assign)
     }
 
     /// Replay a cache-filtered miss stream under `assign`.
     pub fn miss_stream(ms: &'a MissStream, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest {
-            input: SimInput::MissStream(ms),
-            assign,
-            policy: None,
-            ecc_chips_powered: None,
-        }
+        SimRequest::with_input(SimInput::MissStream(ms), assign)
     }
 
     /// Replay only the selected representative phases of a miss stream,
@@ -239,12 +241,11 @@ impl<'a> SimRequest<'a> {
         selection: &'a SimPointSelection,
         assign: EccAssignment,
     ) -> SimRequest<'a> {
-        SimRequest {
-            input: SimInput::SampledMissStream { stream: ms, selection },
-            assign,
-            policy: None,
-            ecc_chips_powered: None,
-        }
+        SimRequest::with_input(SimInput::SampledMissStream { stream: ms, selection }, assign)
+    }
+
+    fn with_input(input: SimInput<'a>, assign: EccAssignment) -> SimRequest<'a> {
+        SimRequest { input, assign, policy: None, ecc_chips_powered: None }
     }
 
     /// Attach a custom protection policy (suppresses range-register
@@ -264,8 +265,6 @@ impl<'a> SimRequest<'a> {
 /// The simulated node.
 pub struct Machine {
     cfg: SystemConfig,
-    l1: Cache,
-    l2: Cache,
     dram: Dram,
     /// The enhanced memory controller.
     pub controller: MemoryController,
@@ -283,8 +282,6 @@ impl Machine {
         }
         let map = AddressMap::new(&cfg);
         Machine {
-            l1: Cache::new(cfg.l1),
-            l2: Cache::new(cfg.l2),
             dram: Dram::new(cfg.clone()),
             controller: MemoryController::new(map, EccScheme::Chipkill),
             cfg,
@@ -316,24 +313,23 @@ impl Machine {
     }
 
     /// Run one simulation request — the single entry point every input
-    /// form (trace, stream, miss stream, sampled miss stream) and every
+    /// form (access stream, miss stream, sampled miss stream) and every
     /// protection mode (programmed assignment or custom [`RowPolicy`])
-    /// funnels through; the former `run_*` wrappers delegated here until
-    /// their removal.
+    /// funnels through.
     ///
-    /// Sources are consumed in bounded-memory chunks ([`DEFAULT_CHUNK`]
-    /// accesses at a time), so the peak footprint is independent of the
-    /// stream length. Virtual addresses are mapped to physical
-    /// identically (the runtime crate provides real paging when needed —
-    /// for timing/energy the identity map is exact because regions are
-    /// page aligned and disjoint).
+    /// Sources are consumed in bounded-memory chunks
+    /// ([`crate::stream::DEFAULT_CHUNK`] accesses at a time), so the peak
+    /// footprint is independent of the stream length. Virtual addresses
+    /// are mapped to physical identically (the runtime crate provides
+    /// real paging when needed — for timing/energy the identity map is
+    /// exact because regions are page aligned and disjoint).
     ///
-    /// The `dyn RowPolicy` boundary stops here: the drive loops below
-    /// are generic over the policy, so the default (range-register
-    /// lookup) policy monomorphizes straight into the per-event replay
-    /// loop instead of paying an indirect call per DRAM request. A
-    /// custom policy keeps exactly one `dyn` layer — the one the caller
-    /// handed in.
+    /// The `dyn RowPolicy` boundary stops here: the engines below are
+    /// generic over the policy, so the default (range-register lookup)
+    /// policy monomorphizes straight into the per-event replay instead of
+    /// paying an indirect call per DRAM request. A custom policy keeps
+    /// exactly one `dyn` layer — the one the caller handed in. A source
+    /// input pays one `dyn` call per chunk, not per access.
     pub fn simulate(&mut self, req: SimRequest<'_>) -> SimStats {
         let SimRequest { input, assign, policy, ecc_chips_powered } = req;
         let powered = ecc_chips_powered.unwrap_or_else(|| assign.any_ecc());
@@ -341,7 +337,6 @@ impl Machine {
             Some(p) => self.dispatch(input, powered, p),
             None => {
                 let regions = match &input {
-                    SimInput::Trace(t) => &t.regions,
                     SimInput::Source(s) => s.regions(),
                     SimInput::MissStream(ms) => ms.regions(),
                     SimInput::SampledMissStream { stream, .. } => stream.regions(),
@@ -365,8 +360,7 @@ impl Machine {
         policy: &mut P,
     ) -> SimStats {
         match input {
-            SimInput::Trace(t) => self.drive_source(&mut t.replay(), powered, policy),
-            SimInput::Source(s) => self.drive_source(s, powered, policy),
+            SimInput::Source(mut s) => self.drive_source(&mut *s, powered, policy),
             SimInput::MissStream(ms) => self.drive_miss(ms, powered, policy),
             SimInput::SampledMissStream { stream, selection } => {
                 self.drive_sampled(stream, selection, powered, policy)
@@ -374,128 +368,22 @@ impl Machine {
         }
     }
 
-    /// The full-hierarchy engine: streams `src` through L1/L2/MC/DRAM
-    /// under `policy`. The source is rewound before the run, so a freshly
-    /// created or an already-drained stream behave identically.
+    /// The full-hierarchy engine: walks `src` through L1/L2 and services
+    /// each DRAM-visible event through MC + DRAM under `policy` the moment
+    /// the walk emits it — [`Replay::event`] as the walk's sink. The source
+    /// is rewound before the run, so a freshly created or an
+    /// already-drained stream behave identically.
     fn drive_source<S: AccessSource + ?Sized, P: RowPolicy + ?Sized>(
         &mut self,
         src: &mut S,
         ecc_chips_powered: bool,
         policy: &mut P,
     ) -> SimStats {
-        src.reset();
-        self.l1 = Cache::new(self.cfg.l1);
-        self.l2 = Cache::new(self.cfg.l2);
-        self.dram.reset();
-
-        let cycle_ns = self.cfg.cycle_ns();
-        let mut regions: Vec<RegionStats> = src
-            .regions()
-            .regions()
-            .iter()
-            .map(|r| RegionStats {
-                name: r.name.clone(), // repolint:allow(PERF002) once per region per replay, not per access
-                abft_protected: r.abft_protected,
-                abft_detectable: r.abft_detectable,
-                ..Default::default()
-            })
-            .collect();
-
-        // Thread-level concurrency: `threads` in-order workers interleave
-        // their instruction streams, so per-thread cycles (compute + cache
-        // latencies) compress by the thread count on the machine timeline,
-        // while every access still reaches the shared memory system —
-        // multiplying bandwidth pressure exactly as the 4-core Table 3
-        // machine does. DRAM stalls are machine-level (shared-resource
-        // saturation) and are not divided.
-        let threads = self.cfg.threads.max(1) as u64;
-        let mut cycles: u64 = 0;
-        let mut thread_cycle_carry: u64 = 0;
-        let bump = |cycles: &mut u64, carry: &mut u64, thread_cycles: u64| {
-            let total = thread_cycles + *carry;
-            *cycles += total / threads;
-            *carry = total % threads;
-        };
-        let mut l1_hits = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_hits = 0u64;
-        let mut l2_misses = 0u64;
-
-        let mut retired: u64 = 0;
-        let mut chunk: Vec<crate::trace::Access> = Vec::with_capacity(DEFAULT_CHUNK);
-        while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
-            for a in &chunk {
-                retired += a.work as u64 + 1;
-                bump(&mut cycles, &mut thread_cycle_carry, a.work as u64);
-                let rs = &mut regions[a.region as usize];
-                rs.refs += 1;
-                match self.l1.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l1.latency_cycles);
-                        l1_hits += 1;
-                        continue;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l1_misses += 1;
-                        rs.l1_misses += 1;
-                        if let Some(wb) = writeback {
-                            // The L1 victim is installed dirty in L2 (the
-                            // full line travels down, so no DRAM fill is
-                            // needed); only a dirty line L2 evicts to make
-                            // room reaches memory.
-                            if let CacheOutcome::Miss { writeback: Some(wb2) } =
-                                self.l2.access(wb, true)
-                            {
-                                let now = cycles as f64 * cycle_ns;
-                                let kind = policy.choose(a, &self.controller, wb2);
-                                self.dram.access_kind(now, wb2, true, kind);
-                            }
-                        }
-                    }
-                }
-                match self.l2.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l2.latency_cycles);
-                        l2_hits += 1;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l2_misses += 1;
-                        rs.llc_misses += 1;
-                        let now = cycles as f64 * cycle_ns;
-                        let kind = policy.choose(a, &self.controller, a.addr);
-                        // Demand miss: the line fill is a DRAM *read* even
-                        // for stores (write-allocate); the dirty data
-                        // leaves the cache later as a write-back.
-                        let res = self.dram.access_kind(now, a.addr, false, kind);
-                        // Demand miss: the in-order pipeline hides part of
-                        // the latency through memory-level parallelism.
-                        let lat_ns = res.completion_ns - now;
-                        let stall = (lat_ns * self.cfg.stall_factor / cycle_ns) as u64;
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l2.latency_cycles);
-                        cycles += stall;
-                        if let Some(wb) = writeback {
-                            let kind = policy.choose(a, &self.controller, wb);
-                            self.dram.access_kind(now, wb, true, kind);
-                        }
-                    }
-                }
-            }
-        }
-
-        // `push` maintains the same sum, so for sources that know their
-        // total this is exact, and for generators it is the identical
-        // accumulation.
-        let instructions = src.instructions_hint().unwrap_or(retired);
-        self.assemble_stats(AssembleInputs {
-            instructions,
-            cycles,
-            ecc_chips_powered,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            regions,
-        })
+        let SystemConfig { l1, l2, threads, .. } = self.cfg;
+        let mut replay = self.replay(policy);
+        let totals = walk(src, l1, l2, threads, |ev| replay.event(&ev));
+        let stalls = replay.stalls;
+        self.assemble_stats(src.regions(), &totals, stalls, ecc_chips_powered)
     }
 
     /// Panic unless `ms` was filtered under this machine's geometry (the
@@ -513,20 +401,12 @@ impl Machine {
         );
     }
 
-    /// The exact filtered-replay engine: drives every event of the miss
-    /// stream through MC + DRAM. Bit-identical to [`Machine::simulate`]
-    /// over the stream the [`MissStream`] was built from, at
-    /// O(LLC misses) instead of O(accesses) — the cache hierarchy was
-    /// already simulated by [`MissStream::build`] and its outcomes are
-    /// ECC-independent. The policy observes the same triggering accesses
-    /// and physical line addresses in the same DRAM-access order as the
-    /// full path, so stateful policies (e.g. the DGMS granularity
-    /// predictor) behave identically.
-    ///
-    /// The machine's cycle counter is reconstructed as the stream's
-    /// recorded pure core cycles plus the DRAM stalls accumulated during
-    /// replay — the exact decomposition the full path computes, so the
-    /// returned [`SimStats`] is bit-identical.
+    /// The exact filtered-replay engine: drives every recorded event of
+    /// the miss stream through MC + DRAM — bit-identical to the full path
+    /// over the stream the [`MissStream`] was built from, at O(LLC misses)
+    /// instead of O(accesses). The policy observes the same triggering
+    /// accesses and lines in the same order, so stateful policies (e.g.
+    /// the DGMS granularity predictor) behave identically.
     fn drive_miss<P: RowPolicy + ?Sized>(
         &mut self,
         ms: &MissStream,
@@ -534,37 +414,10 @@ impl Machine {
         policy: &mut P,
     ) -> SimStats {
         self.assert_geometry(ms);
-        self.dram.reset();
-        let cycle_ns = self.cfg.cycle_ns();
-        let stall_factor = self.cfg.stall_factor;
-        // Accumulated DRAM stalls: the policy-dependent half of the cycle
-        // decomposition. At each event the machine timeline reads
-        // `pure core cycles + stalls so far`, exactly as the full path's
-        // `cycles` does (stalls are added outside the thread-compression
-        // carry there, so the pure track is policy-independent).
-        let mut stall_acc: u64 = 0;
-        for ev in ms.iter() {
-            replay_one(
-                &mut self.dram,
-                &self.controller,
-                &ev,
-                &mut stall_acc,
-                cycle_ns,
-                stall_factor,
-                policy,
-            );
-        }
-
-        self.assemble_stats(AssembleInputs {
-            instructions: ms.instructions(),
-            cycles: ms.core_cycles + stall_acc,
-            ecc_chips_powered,
-            l1_hits: ms.l1_hits,
-            l1_misses: ms.l1_misses,
-            l2_hits: ms.l2_hits,
-            l2_misses: ms.l2_misses,
-            regions: tally_regions(ms),
-        })
+        let mut replay = self.replay(policy);
+        ms.iter().for_each(|ev| replay.event(&ev));
+        let stalls = replay.stalls;
+        self.assemble_stats(ms.regions(), ms.totals(), stalls, ecc_chips_powered)
     }
 
     /// The sampled-replay engine: drives only the representative slice of
@@ -592,71 +445,63 @@ impl Machine {
             sel.events(),
             ms.events()
         );
-        self.dram.reset();
-        let cycle_ns = self.cfg.cycle_ns();
-        let stall_factor = self.cfg.stall_factor;
-        let mut stall_acc: u64 = 0;
+        let mut replay = self.replay(policy);
         let mut est = ScaledDram::default();
-        let ranks = self.dram.rank_busy().len();
+        let ranks = replay.dram.rank_busy().len();
         let mut busy_est = vec![0.0f64; ranks];
         // Reused per-phase snapshot buffer: the phase loop must not
         // allocate (PERF001) — only `copy_from_slice` into this.
         let mut busy_before = vec![0.0f64; ranks];
         for ph in sel.phases() {
-            let before = self.dram.stats;
-            busy_before.copy_from_slice(self.dram.rank_busy());
-            let stalls_before = stall_acc;
+            let before = replay.dram.stats;
+            busy_before.copy_from_slice(replay.dram.rank_busy());
+            let stalls_before = replay.stalls;
             for ev in ms.events_from(ph.cursor()).take(ph.events() as usize) {
-                replay_one(
-                    &mut self.dram,
-                    &self.controller,
-                    &ev,
-                    &mut stall_acc,
-                    cycle_ns,
-                    stall_factor,
-                    policy,
-                );
+                replay.event(&ev);
             }
-            est.add_delta(&before, &self.dram.stats, ph.scale());
+            est.add_delta(&before, &replay.dram.stats, ph.scale());
             // Rank busy time feeds the standby-energy activity fraction
             // against the *scaled* wall time, so it must be scaled like
             // every other per-phase delta.
             for (acc, (a, b)) in
-                busy_est.iter_mut().zip(self.dram.rank_busy().iter().zip(&busy_before))
+                busy_est.iter_mut().zip(replay.dram.rank_busy().iter().zip(&busy_before))
             {
                 *acc += (a - b) * ph.scale();
             }
-            est.stalls += (stall_acc - stalls_before) as f64 * ph.scale();
+            est.stalls += (replay.stalls - stalls_before) as f64 * ph.scale();
         }
         let stalls = est.stalls.round() as u64;
         self.dram.stats = est.into_stats();
         self.dram.set_rank_busy(busy_est);
-        self.assemble_stats(AssembleInputs {
-            instructions: ms.instructions(),
-            cycles: ms.core_cycles + stalls,
-            ecc_chips_powered,
-            l1_hits: ms.l1_hits,
-            l1_misses: ms.l1_misses,
-            l2_hits: ms.l2_hits,
-            l2_misses: ms.l2_misses,
-            regions: tally_regions(ms),
-        })
+        self.assemble_stats(ms.regions(), ms.totals(), stalls, ecc_chips_powered)
     }
 
-    /// Fold the run counters and the DRAM state into a [`SimStats`] — the
-    /// single implementation both the full path and the filtered replay
-    /// use, so their derived metrics share every formula bit for bit.
-    fn assemble_stats(&self, inputs: AssembleInputs) -> SimStats {
-        let AssembleInputs {
-            instructions,
-            cycles,
-            ecc_chips_powered,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            regions,
-        } = inputs;
+    /// A fresh [`Replay`] on this machine: DRAM reset, no stalls yet.
+    fn replay<'m, P: RowPolicy + ?Sized>(&'m mut self, policy: &'m mut P) -> Replay<'m, P> {
+        self.dram.reset();
+        Replay {
+            dram: &mut self.dram,
+            mc: &self.controller,
+            policy,
+            cycle_ns: self.cfg.cycle_ns(),
+            stall_factor: self.cfg.stall_factor,
+            stalls: 0,
+        }
+    }
+
+    /// Fold the walk totals, the DRAM stalls and the DRAM state into a
+    /// [`SimStats`] — the single implementation every engine uses, so
+    /// their derived metrics share every formula bit for bit. The machine
+    /// cycle count is the walk's pure core cycles plus `stalls`.
+    fn assemble_stats(
+        &self,
+        regions: &RegionMap,
+        totals: &WalkTotals,
+        stalls: u64,
+        ecc_chips_powered: bool,
+    ) -> SimStats {
+        let WalkTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = *totals;
+        let cycles = totals.core_cycles + stalls;
         let cycle_ns = self.cfg.cycle_ns();
         let seconds = cycles as f64 * cycle_ns * 1e-9;
         let ipc = if cycles == 0 { 0.0 } else { instructions as f64 / cycles as f64 };
@@ -698,51 +543,58 @@ impl Machine {
                     0.0
                 }
             },
-            regions,
+            regions: tally_regions(regions, &totals.tallies),
         }
     }
 }
 
-/// Replay one miss-stream event through MC + DRAM — the shared inner
-/// loop of the exact and the sampled filtered-replay engines, so the two
-/// paths cannot drift.
-#[inline]
-fn replay_one<P: RowPolicy + ?Sized>(
-    dram: &mut Dram,
-    mc: &MemoryController,
-    ev: &MissEvent,
-    stall_acc: &mut u64,
+/// Services DRAM-visible events through MC + DRAM under a policy — the
+/// shared inner step of every engine (the full path's walk sink, and the
+/// exact and sampled replay loops), so the paths cannot drift. `stalls`
+/// is the policy-dependent half of the cycle decomposition: at each
+/// event the machine timeline reads `pure core cycles + stalls so far`.
+struct Replay<'m, P: ?Sized> {
+    dram: &'m mut Dram,
+    mc: &'m MemoryController,
+    policy: &'m mut P,
     cycle_ns: f64,
     stall_factor: f64,
-    policy: &mut P,
-) {
-    let cycles_now = ev.core_cycles + *stall_acc;
-    let now = cycles_now as f64 * cycle_ns;
-    match ev.kind {
-        MissEventKind::Writeback(wb) => {
-            let kind = policy.choose(&ev.trigger, mc, wb);
-            dram.access_kind(now, wb, true, kind);
-        }
-        MissEventKind::Demand { writeback } => {
-            let kind = policy.choose(&ev.trigger, mc, ev.trigger.addr);
-            let res = dram.access_kind(now, ev.trigger.addr, false, kind);
-            let lat_ns = res.completion_ns - now;
-            *stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
-            if let Some(wb) = writeback {
-                let kind = policy.choose(&ev.trigger, mc, wb);
-                dram.access_kind(now, wb, true, kind);
+    stalls: u64,
+}
+
+impl<P: RowPolicy + ?Sized> Replay<'_, P> {
+    #[inline]
+    fn event(&mut self, ev: &MissEvent) {
+        let now = (ev.core_cycles + self.stalls) as f64 * self.cycle_ns;
+        match ev.kind {
+            MissEventKind::Writeback(wb) => {
+                let kind = self.policy.choose(&ev.trigger, self.mc, wb);
+                self.dram.access_kind(now, wb, true, kind);
+            }
+            MissEventKind::Demand { writeback } => {
+                // The fill is a DRAM *read* even for stores (write-allocate);
+                // the in-order pipeline hides part of its latency through
+                // memory-level parallelism (`stall_factor`).
+                let kind = self.policy.choose(&ev.trigger, self.mc, ev.trigger.addr);
+                let res = self.dram.access_kind(now, ev.trigger.addr, false, kind);
+                let lat_ns = res.completion_ns - now;
+                self.stalls += (lat_ns * self.stall_factor / self.cycle_ns) as u64;
+                if let Some(wb) = writeback {
+                    let kind = self.policy.choose(&ev.trigger, self.mc, wb);
+                    self.dram.access_kind(now, wb, true, kind);
+                }
             }
         }
     }
 }
 
-/// Per-region stats from the tallies the filter recorded — exact and
-/// policy-independent, shared by the exact and sampled replay paths.
-fn tally_regions(ms: &MissStream) -> Vec<RegionStats> {
-    ms.regions()
+/// Per-region stats from the walk's tallies — exact and
+/// policy-independent, shared by every engine.
+fn tally_regions(regions: &RegionMap, tallies: &[RegionTally]) -> Vec<RegionStats> {
+    regions
         .regions()
         .iter()
-        .zip(&ms.tallies)
+        .zip(tallies)
         .map(|(r, t)| RegionStats {
             name: r.name.clone(), // repolint:allow(PERF002) once per region per replay, not per access
             abft_protected: r.abft_protected,
@@ -802,19 +654,6 @@ impl ScaledDram {
             latency_ns_total: self.latency_ns_total,
         }
     }
-}
-
-/// The policy-independent counters [`Machine::assemble_stats`] folds with
-/// the DRAM state (named fields keep the two call sites honest).
-struct AssembleInputs {
-    instructions: u64,
-    cycles: u64,
-    ecc_chips_powered: bool,
-    l1_hits: u64,
-    l1_misses: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    regions: Vec<RegionStats>,
 }
 
 #[cfg(test)]

@@ -63,6 +63,11 @@ echo "=== perfbench unit tests (the benchmark's own package) ==="
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
+# filtered_equivalence is the golden gate: every cell's full-path and
+# filtered SimStats must equal its line in
+# tests/golden/filtered_equivalence.txt. A deliberate modelling change
+# re-baselines it by pasting the replacement lines the failing test
+# prints over the stale ones (there is no bless switch).
 cargo test -q -p abft-memsim --features validate
 cargo test -q --features validate --test campaign_determinism --test streaming_equivalence \
     --test filtered_equivalence --test simpoint_equivalence

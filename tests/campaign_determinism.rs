@@ -50,7 +50,7 @@ fn parallel_campaign_is_bit_identical_to_serial() {
     for w in small_workloads() {
         let trace = w.build();
         for s in Strategy::ALL {
-            let direct = run_strategy_job(&trace, &SystemConfig::default(), s);
+            let direct = run_strategy_source(&mut trace.replay(), &SystemConfig::default(), s);
             let cell = parallel.get(w.kind(), s, "default").expect("every grid cell is present");
             assert_eq!(cell.stats, direct, "{} / {}", w.label(), s.label());
         }
